@@ -1,9 +1,11 @@
 //! Invariant-engine benchmark: what the `--invariants` path costs on top
-//! of classification. Three figures go to `BENCH_invariant.json`:
+//! of classification. Four figures go to `BENCH_invariant.json`:
 //! the exact null-space derivation over the canonical running-sum IV
 //! pair, the interpreter-trace checking predicate over realistic
-//! histories, and the end-to-end batch analysis of an invariant-bearing
-//! corpus (derivation + machine-checking included, as served).
+//! histories, the checking traces of a large function (interpreter runs
+//! plus per-φ history extraction), and the end-to-end batch analysis of
+//! an invariant-bearing corpus (derivation + machine-checking included,
+//! as served).
 
 use std::time::Duration;
 
@@ -11,9 +13,10 @@ use biv_algebra::{Rational, SymPoly};
 use biv_bench::criterion_group;
 use biv_bench::harness::{BenchmarkId, Criterion, Throughput};
 use biv_bench::report::{self, Baseline};
-use biv_core::{analyze_batch, BatchOptions};
+use biv_core::{analyze, analyze_batch, seeded_inputs, BatchOptions, ValidationOptions};
 use biv_invariant::check::SeedHistories;
 use biv_invariant::{check_candidate, derive_candidates, Candidate, InvariantConfig, IvClosedForm};
+use biv_ssa::{fold_constants, SsaFunction, SsaInterpreter};
 use biv_workload::{generate, WorkloadSpec};
 
 /// A new subsystem has no pre-change medians to compare against.
@@ -22,6 +25,10 @@ const BASELINES: &[Baseline] = &[];
 const CORPUS_FUNCTIONS: usize = 24;
 const CHECK_SEEDS: usize = 4;
 const CHECK_ITERATIONS: i64 = 64;
+/// Size of the traced function, matching the large-function batch.
+const TRACE_INSTS: usize = 2500;
+/// The pipeline checker's per-run step budget.
+const TRACE_STEP_LIMIT: usize = 20_000;
 
 fn timing(group: &mut biv_bench::harness::BenchmarkGroup<'_>) {
     if report::quick_mode() {
@@ -115,6 +122,50 @@ fn bench_check(c: &mut Criterion) {
     group.finish();
 }
 
+/// Checking traces of a large function, as the pipeline's checker takes
+/// them: the folded SSA of `sized_linear(2500)` run on 4 seeds, and the
+/// history of every loop-header φ pulled from each trace. This is the
+/// layer whose cost used to grow quadratically with function size.
+fn bench_trace(c: &mut Criterion) {
+    let func = generate(&WorkloadSpec::sized_linear(TRACE_INSTS, 0)).func;
+    let analysis = analyze(&func);
+    let phis: Vec<_> = analysis
+        .loops()
+        .flat_map(|(l, _)| {
+            let header = analysis.forest().data(l).header;
+            analysis.ssa().block(header).phis.clone()
+        })
+        .collect();
+    let mut ssa = SsaFunction::build(&func);
+    fold_constants(&mut ssa);
+    let opts = ValidationOptions {
+        inputs: CHECK_SEEDS,
+        step_limit: TRACE_STEP_LIMIT,
+        ..ValidationOptions::default()
+    };
+    let inputs = seeded_inputs(func.params().len(), &opts);
+    let interp = SsaInterpreter {
+        step_limit: TRACE_STEP_LIMIT,
+    };
+    let run = || -> usize {
+        inputs
+            .iter()
+            .map(|input| {
+                let trace = interp.run_partial(&ssa, input).0;
+                phis.iter().map(|&v| trace.history(v).len()).sum::<usize>()
+            })
+            .sum()
+    };
+    assert!(
+        !phis.is_empty() && run() > 0,
+        "traced function must observe header φs"
+    );
+    let mut group = c.benchmark_group("invariant");
+    timing(&mut group);
+    group.bench_function(BenchmarkId::new("trace", "sized_linear"), |b| b.iter(run));
+    group.finish();
+}
+
 /// End to end: batch analysis of an invariant-bearing corpus, exactly as
 /// `bivc --invariants` serves it — classification, derivation, and
 /// interpreter checking per function.
@@ -145,7 +196,7 @@ fn bench_batch(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_derive, bench_check, bench_batch);
+criterion_group!(benches, bench_derive, bench_check, bench_trace, bench_batch);
 
 fn main() {
     let mut criterion = Criterion::new();

@@ -42,8 +42,10 @@ use crate::budget::Budget;
 /// (every record becomes garbage and is compacted away).
 ///
 /// History: 1 — original summary format; 2 — mixed-geometric
-/// classification plus per-loop verified invariants in every summary.
-pub const FORMAT_VERSION: u32 = 2;
+/// classification plus per-loop verified invariants in every summary;
+/// 3 — loops with more than `max_ivs` IVs keep the relations verified
+/// over their first `max_ivs` (earlier versions dropped them all).
+pub const FORMAT_VERSION: u32 = 3;
 
 /// The configuration fingerprint a persistent store is keyed on,
 /// alongside [`FORMAT_VERSION`].

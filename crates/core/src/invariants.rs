@@ -39,10 +39,6 @@ const CHECK_STEP_LIMIT: usize = 20_000;
 /// to zero before a candidate counts as verified.
 const MIN_CHECKED_ITERATIONS: usize = 4;
 
-/// Derives and machine-checks polynomial invariants for every loop of an
-/// analyzed function. Returns only verified relations, rendered with
-/// canonical `%N` value names, keyed by loop. Loops without verified
-/// relations are absent.
 /// One loop's derivation inputs and its as-yet-unchecked candidates.
 type LoopCandidates = (
     Loop,
@@ -51,6 +47,10 @@ type LoopCandidates = (
     Vec<biv_invariant::Candidate>,
 );
 
+/// Derives and machine-checks polynomial invariants for every loop of an
+/// analyzed function. Returns only verified relations, rendered with
+/// canonical `%N` value names, keyed by loop. Loops without verified
+/// relations are absent.
 pub(crate) fn function_invariants(
     func: &Function,
     config: &AnalysisConfig,
@@ -80,6 +80,9 @@ pub(crate) fn function_invariants(
         }
         let candidates = derive_candidates(&ivs, &engine_config);
         if !candidates.is_empty() {
+            // Candidates range over the first `max_ivs` IVs only; trace
+            // just those.
+            values.truncate(engine_config.max_ivs);
             per_loop.push((l, values, ivs, candidates));
         }
     }
@@ -87,15 +90,18 @@ pub(crate) fn function_invariants(
         return HashMap::new();
     }
 
-    // At least one loop proposed a relation: pay for concrete traces.
-    let traces = checking_traces(func, config);
+    // At least one loop proposed a relation: pay for concrete traces. One
+    // seed's trace is alive at a time — each yields its loops' histories
+    // and is dropped before the next seed runs.
+    let mut seeds: Vec<Vec<SeedHistories>> = vec![Vec::new(); per_loop.len()];
+    for_each_checking_trace(func, config, |trace| {
+        for ((_, values, _, _), loop_seeds) in per_loop.iter().zip(&mut seeds) {
+            loop_seeds.push(values.iter().map(|&v| trace.history(v)).collect());
+        }
+    });
     let mut out = HashMap::new();
-    for (l, values, ivs, candidates) in per_loop {
+    for ((l, _, ivs, candidates), seeds) in per_loop.into_iter().zip(seeds) {
         let names: Vec<String> = ivs.iter().map(|iv| iv.name.clone()).collect();
-        let seeds: Vec<SeedHistories> = traces
-            .iter()
-            .map(|t| values.iter().map(|&v| t.history(v)).collect())
-            .collect();
         let verified: Vec<String> = candidates
             .into_iter()
             .filter(|c| check_candidate(c, &seeds, MIN_CHECKED_ITERATIONS))
@@ -108,10 +114,15 @@ pub(crate) fn function_invariants(
     out
 }
 
-/// Runs the function on the deterministic seeded inputs, keeping partial
-/// traces: a step-limited, overflowing, or otherwise faulting run still
+/// Runs the function on the deterministic seeded inputs, handing each
+/// trace to `visit` and dropping it before the next run. Traces are
+/// partial: a step-limited, overflowing, or otherwise faulting run still
 /// contributes every iteration it observed.
-fn checking_traces(func: &Function, config: &AnalysisConfig) -> Vec<SsaTrace> {
+fn for_each_checking_trace(
+    func: &Function,
+    config: &AnalysisConfig,
+    mut visit: impl FnMut(&SsaTrace),
+) {
     let opts = ValidationOptions {
         inputs: CHECK_INPUTS,
         step_limit: CHECK_STEP_LIMIT,
@@ -125,10 +136,9 @@ fn checking_traces(func: &Function, config: &AnalysisConfig) -> Vec<SsaTrace> {
     let interp = SsaInterpreter {
         step_limit: opts.step_limit,
     };
-    seeded_inputs(func.params().len(), &opts)
-        .iter()
-        .map(|input| interp.run_partial(&ssa, input).0)
-        .collect()
+    for input in seeded_inputs(func.params().len(), &opts) {
+        visit(&interp.run_partial(&ssa, &input).0);
+    }
 }
 
 #[cfg(test)]

@@ -20,12 +20,20 @@ pub type SeedHistories = Vec<Vec<i64>>;
 /// Checks a candidate against every seed trace. Returns `true` only when
 /// the relation holds at every checkable iteration of every seed *and*
 /// at least `min_iterations` iterations were actually checked in total.
+///
+/// A candidate over `n` IVs is checked against the first `n` histories
+/// of each seed: [`crate::derive_candidates`] keeps only the first
+/// [`crate::InvariantConfig::max_ivs`] IVs in input order, so callers may
+/// pass one history per IV of the loop and the extra ones are ignored
+/// (their lengths do not shorten the check either). Fewer histories than
+/// the candidate's IVs is a wiring error and rejects.
 pub fn check_candidate(cand: &Candidate, seeds: &[SeedHistories], min_iterations: usize) -> bool {
+    let nvars = cand.exps.first().map(Vec::len).unwrap_or(0);
     let mut checked = 0usize;
     for histories in seeds {
-        if histories.len() != cand.exps.first().map(Vec::len).unwrap_or(0) {
-            return false; // IV count mismatch: caller wiring error
-        }
+        let Some(histories) = histories.get(..nvars) else {
+            return false; // fewer histories than IVs: caller wiring error
+        };
         let len = histories.iter().map(Vec::len).min().unwrap_or(0);
         for h in 0..len {
             match eval_at(cand, histories, h) {
@@ -106,6 +114,28 @@ mod tests {
     fn zero_observed_iterations_rejected() {
         let cand = running_sum_candidate();
         assert!(!check_candidate(&cand, &[running_sum_trace(0)], 1));
+    }
+
+    #[test]
+    fn extra_histories_beyond_the_candidate_ivs_are_ignored() {
+        // Five IV histories, a candidate over the first two: the IV-prefix
+        // rule of derive_candidates. The trailing histories are shorter
+        // and would cut the check to one iteration if they were read.
+        let cand = running_sum_candidate();
+        let mut five = running_sum_trace(10);
+        five.extend([vec![7; 2], vec![-1; 3], vec![0; 1]]);
+        assert!(check_candidate(&cand, &[five.clone()], 10));
+        let mut broken = cand.clone();
+        broken.coeffs[2] = 3;
+        assert!(!check_candidate(&broken, &[five], 1));
+    }
+
+    #[test]
+    fn fewer_histories_than_ivs_rejected() {
+        let cand = running_sum_candidate();
+        let mut one = running_sum_trace(10);
+        one.truncate(1);
+        assert!(!check_candidate(&cand, &[one], 1));
     }
 
     #[test]

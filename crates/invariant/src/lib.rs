@@ -70,7 +70,11 @@ pub struct InvariantConfig {
     /// Maximum total degree of basis monomials.
     pub max_degree: u32,
     /// Maximum number of IVs considered (extra IVs are dropped in input
-    /// order, keeping derivation deterministic).
+    /// order, keeping derivation deterministic). A loop with more IVs
+    /// still gets relations over its first `max_ivs`:
+    /// [`check_candidate`] checks a candidate against the matching
+    /// prefix of the per-IV histories, so callers may pass one history
+    /// per IV of the loop.
     pub max_ivs: usize,
     /// Maximum number of candidate relations returned per loop.
     pub max_candidates: usize,

@@ -9,7 +9,7 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use biv_ir::{Array, BinOp, Block, EntityMap};
+use biv_ir::{Array, BinOp, Block, EntityId, EntityMap};
 
 use crate::ssa::{Operand, SsaFunction, SsaInst, SsaTerminator, Value, ValueDef};
 
@@ -46,24 +46,69 @@ impl fmt::Display for SsaInterpError {
 
 impl std::error::Error for SsaInterpError {}
 
-/// Execution trace of an SSA function.
+/// Execution trace of an SSA function, grouped by value.
+///
+/// The interpreter appends one `(value, result)` entry per (re)computation
+/// while it runs; when the run ends, one counting-sort pass regroups that
+/// log by value id and drops it. Value `v`'s results then sit contiguously
+/// in `results[offsets[v]..offsets[v + 1]]`, in execution order, so
+/// [`SsaTrace::history`] is a slice copy rather than a scan of the whole
+/// run: the invariant checker asks for one history per (seed, loop-header
+/// φ), and a scan per request would make checking quadratic in function
+/// size.
 #[derive(Debug, Clone)]
 pub struct SsaTrace {
-    /// Every (re)computation of every value, in execution order.
-    pub assignments: Vec<(Value, i64)>,
+    /// `ssa.values.len() + 1` group boundaries into `results`.
+    offsets: Vec<usize>,
+    /// Every computed result, grouped by value, each group in execution
+    /// order.
+    results: Vec<i64>,
     /// Final array contents.
     pub arrays: HashMap<(Array, Vec<i64>), i64>,
 }
 
 impl SsaTrace {
+    /// Regroups an execution-order log over `value_count` values by
+    /// value in one counting-sort pass (stable, so each group keeps
+    /// execution order).
+    fn grouped(
+        log: Vec<(Value, i64)>,
+        value_count: usize,
+        arrays: HashMap<(Array, Vec<i64>), i64>,
+    ) -> SsaTrace {
+        let mut offsets = vec![0usize; value_count + 1];
+        for &(v, _) in &log {
+            offsets[v.index() + 1] += 1;
+        }
+        for i in 0..value_count {
+            offsets[i + 1] += offsets[i];
+        }
+        let mut cursor = offsets[..value_count].to_vec();
+        let mut results = vec![0i64; log.len()];
+        for (v, x) in log {
+            let at = &mut cursor[v.index()];
+            results[*at] = x;
+            *at += 1;
+        }
+        SsaTrace {
+            offsets,
+            results,
+            arrays,
+        }
+    }
+
     /// The sequence of values `value` took on, in execution order. For a
-    /// loop-header φ this is exactly the paper's per-iteration sequence.
+    /// loop-header φ this is exactly the paper's per-iteration sequence
+    /// (an inner-loop φ re-entered by an outer loop gets every instance's
+    /// iterations, concatenated). A value that never ran — or whose id
+    /// lies past the executed function's value table, like the analysis
+    /// copy's synthetic exit values — has an empty history.
     pub fn history(&self, value: Value) -> Vec<i64> {
-        self.assignments
-            .iter()
-            .filter(|(v, _)| *v == value)
-            .map(|&(_, x)| x)
-            .collect()
+        let i = value.index();
+        match self.offsets.get(i..i + 2) {
+            Some(&[start, end]) => self.results[start..end].to_vec(),
+            _ => Vec::new(),
+        }
     }
 
     /// The trace's *observable state*: final array contents keyed by
@@ -133,7 +178,9 @@ impl SsaInterpreter {
         // before its edge executed, which `eval` reports as MissingPhiArg.
         let mut env: EntityMap<Value, i64> = EntityMap::with_capacity(ssa.values.len());
         let mut arrays: HashMap<(Array, Vec<i64>), i64> = HashMap::new();
-        let mut assignments: Vec<(Value, i64)> = Vec::new();
+        // Every (re)computation in execution order; grouped by value once
+        // the run ends.
+        let mut log: Vec<(Value, i64)> = Vec::new();
         // Bind live-ins.
         let param_values: EntityMap<_, _> = func
             .params()
@@ -145,10 +192,12 @@ impl SsaInterpreter {
             if let ValueDef::LiveIn { var } = data.def {
                 let val = param_values.get(var).copied().unwrap_or(0);
                 env.insert(v, val);
-                assignments.push((v, val));
+                log.push((v, val));
             }
         }
         let fault = (|| -> Result<(), SsaInterpError> {
+            // One step's φ results, reused across steps.
+            let mut phi_updates: Vec<(Value, i64)> = Vec::new();
             let mut block = func.entry();
             let mut prev: Option<Block> = None;
             let mut steps = 0usize;
@@ -159,7 +208,7 @@ impl SsaInterpreter {
                 }
                 let data = ssa.block(block);
                 // φs evaluate in parallel from the incoming edge.
-                let mut phi_updates: Vec<(Value, i64)> = Vec::new();
+                phi_updates.clear();
                 for &phi in &data.phis {
                     let ValueDef::Phi { args } = ssa.def(phi) else {
                         continue;
@@ -174,9 +223,9 @@ impl SsaInterpreter {
                     let val = self.eval(&arg.1, &env)?;
                     phi_updates.push((phi, val));
                 }
-                for (phi, val) in phi_updates {
+                for &(phi, val) in &phi_updates {
                     env.insert(phi, val);
-                    assignments.push((phi, val));
+                    log.push((phi, val));
                 }
                 // Body.
                 for inst in &data.body {
@@ -205,7 +254,7 @@ impl SsaInterpreter {
                                 }
                             };
                             env.insert(*v, val);
-                            assignments.push((*v, val));
+                            log.push((*v, val));
                         }
                         SsaInst::Store {
                             array,
@@ -241,13 +290,7 @@ impl SsaInterpreter {
             }
         })()
         .err();
-        (
-            SsaTrace {
-                assignments,
-                arrays,
-            },
-            fault,
-        )
+        (SsaTrace::grouped(log, ssa.values.len(), arrays), fault)
     }
 
     fn eval(&self, op: &Operand, env: &EntityMap<Value, i64>) -> Result<i64, SsaInterpError> {
@@ -354,7 +397,7 @@ mod tests {
     #[test]
     fn run_partial_keeps_prefix_on_fault() {
         // The loop never exits, so run() errors; run_partial keeps the φ
-        // history observed before the step limit hit.
+        // history observed before the step limit hit, in order.
         let program = parse_program("func f() { i = 0 loop { i = i + 1 } }").unwrap();
         let ssa = SsaFunction::build(&program.functions[0]);
         let interp = SsaInterpreter { step_limit: 10 };
@@ -368,7 +411,118 @@ mod tests {
             .expect("loop has a phi");
         let hist = trace.history(phi);
         assert!(!hist.is_empty(), "partial trace keeps observed iterations");
-        assert_eq!(hist[0], 0);
+        let expected: Vec<i64> = (0..hist.len() as i64).collect();
+        assert_eq!(hist, expected, "prefix is the first iterations in order");
+    }
+
+    const NESTED: &str = r#"
+        func nest(n, m) {
+            s = 0
+            L1: for i = 1 to n {
+                t = i
+                L2: for j = 1 to m {
+                    s = s + j
+                    t = t + 2
+                }
+            }
+        }
+    "#;
+
+    /// The header φs of `label` in `ssa`, paired with their variables.
+    fn header_phis(ssa: &SsaFunction, label: &str) -> Vec<(Value, biv_ir::Var)> {
+        let header = ssa.func().block_by_label(label).unwrap();
+        ssa.block(header)
+            .phis
+            .iter()
+            .map(|&phi| {
+                let var = ssa.values[phi].var.expect("header φ versions a variable");
+                (phi, var)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn reentered_inner_phi_concatenates_instances() {
+        let program = parse_program(NESTED).unwrap();
+        let ssa = SsaFunction::build(&program.functions[0]);
+        let trace = SsaInterpreter::new().run(&ssa, &[2, 3]).unwrap();
+        let j = ssa.func().var_by_name("j").unwrap();
+        let (phi, _) = header_phis(&ssa, "L2")
+            .into_iter()
+            .find(|&(_, var)| var == j)
+            .expect("inner header has a φ for j");
+        // Two outer iterations, each running the inner loop's header for
+        // j = 1, 2, 3 and the exit test at 4: one history, in order.
+        assert_eq!(trace.history(phi), vec![1, 2, 3, 4, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn value_that_never_ran_has_empty_history() {
+        let src = "func f(n) { x = 0 if n > 0 { x = 7 } y = x }";
+        let program = parse_program(src).unwrap();
+        let ssa = SsaFunction::build(&program.functions[0]);
+        let trace = SsaInterpreter::new().run(&ssa, &[0]).unwrap();
+        let seven = ssa
+            .values
+            .iter()
+            .find(|(_, d)| {
+                matches!(
+                    d.def,
+                    ValueDef::Copy {
+                        src: Operand::Const(7)
+                    }
+                )
+            })
+            .map(|(v, _)| v)
+            .expect("the untaken arm defines x = 7");
+        assert!(trace.history(seven).is_empty());
+    }
+
+    #[test]
+    fn exit_value_past_the_table_has_empty_history() {
+        // The analysis copy appends synthetic exit values; the checker
+        // runs a clean rebuild, so their ids lie past its value table.
+        let program = parse_program(NESTED).unwrap();
+        let ssa = SsaFunction::build(&program.functions[0]);
+        let trace = SsaInterpreter::new().run(&ssa, &[2, 3]).unwrap();
+        let (inner, var) = header_phis(&ssa, "L2")[0];
+        let mut analysis_copy = ssa.clone();
+        let exit = analysis_copy.add_synthetic_value(
+            ssa.def_block(inner),
+            ValueDef::ExitValue { inner },
+            Some(var),
+            99,
+        );
+        assert!(!ssa.values.contains(exit));
+        assert!(trace.history(exit).is_empty());
+        assert!(trace
+            .history(Value::from_index(ssa.values.len() + 1000))
+            .is_empty());
+    }
+
+    #[test]
+    fn nested_header_phis_agree_with_cfg_interpreter() {
+        let program = parse_program(NESTED).unwrap();
+        let f = &program.functions[0];
+        let ssa = SsaFunction::build(f);
+        for args in [[3, 4], [1, 0], [0, 5]] {
+            let cfg_trace = Interpreter::new().run(f, &args).unwrap();
+            let ssa_trace = SsaInterpreter::new().run(&ssa, &args).unwrap();
+            let mut checked = 0;
+            for label in ["L1", "L2"] {
+                let header = f.block_by_label(label).unwrap();
+                for (phi, var) in header_phis(&ssa, label) {
+                    assert_eq!(
+                        ssa_trace.history(phi),
+                        cfg_trace.values_at(header, var),
+                        "{label} φ of {} on {args:?}",
+                        f.var_name(var)
+                    );
+                    checked += 1;
+                }
+            }
+            assert!(checked >= 4, "both headers carry φs");
+        }
     }
 
     #[test]

@@ -12,12 +12,11 @@ use biv::ssa::{SsaFunction, SsaInterpreter, SsaTrace, Value};
 
 /// Builds an environment mapping symbol values to the (first) concrete
 /// value the trace recorded for them.
-fn env_from_trace(trace: &SsaTrace) -> HashMap<Value, i64> {
-    let mut env = HashMap::new();
-    for &(v, x) in &trace.assignments {
-        env.entry(v).or_insert(x);
-    }
-    env
+fn env_from_trace(ssa: &SsaFunction, trace: &SsaTrace) -> HashMap<Value, i64> {
+    ssa.values
+        .ids()
+        .filter_map(|v| trace.history(v).first().map(|&x| (v, x)))
+        .collect()
 }
 
 /// Checks every classified value of every loop of `src` against an
@@ -35,17 +34,13 @@ fn check_program(src: &str, args: &[i64]) {
             Ok(t) => t,
             Err(e) => panic!("interpreter failed: {e}\n{src}"),
         };
-        let env = env_from_trace(&trace);
+        let env = env_from_trace(&ssa, &trace);
         // Symbols must be single-assignment in the trace for the check to
         // be meaningful (outer-loop symbols vary between inner-loop
         // instances).
-        let mut assignment_counts: HashMap<Value, usize> = HashMap::new();
-        for &(v, _) in &trace.assignments {
-            *assignment_counts.entry(v).or_default() += 1;
-        }
         let lookup = |sym: biv::algebra::SymId| -> Option<Rational> {
             let v = biv::core_analysis::value_of_sym(sym);
-            if assignment_counts.get(&v).copied().unwrap_or(0) != 1 {
+            if trace.history(v).len() != 1 {
                 return None;
             }
             env.get(&v).map(|&x| Rational::from_integer(i128::from(x)))
@@ -188,15 +183,12 @@ fn check_program(src: &str, args: &[i64]) {
             if let TripCount::Finite(p) = &info.trip_count {
                 if let Some(tc) = p.eval(lookup) {
                     let header = analysis.forest().data(info.loop_id).header;
-                    let visits = trace
-                        .assignments
-                        .iter()
-                        .filter(|(v, _)| {
-                            ssa.values.contains(*v)
-                                && ssa.def_block(*v) == header
-                                && ssa.def(*v).is_phi()
-                        })
-                        .count();
+                    let visits: usize = ssa
+                        .values
+                        .ids()
+                        .filter(|&v| ssa.def_block(v) == header && ssa.def(v).is_phi())
+                        .map(|v| trace.history(v).len())
+                        .sum();
                     let phis = ssa.block(header).phis.len();
                     if phis > 0 && visits > 0 {
                         let iterations = visits / phis;

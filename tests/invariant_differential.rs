@@ -35,6 +35,34 @@ fn write_invariant_corpus(dir: &Path, seeds: &[u64]) -> usize {
     planted
 }
 
+/// The committed five-IV loop: `i, a, b, c, d`. Only the first four IVs
+/// feed derivation, and their relations must survive the fifth.
+const FIVE_IVS: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/invariant_corpus/five_ivs.biv"
+);
+
+/// The relations the five-IV loop must render, in report order.
+const FIVE_IV_RELATIONS: [&str; 4] = [
+    "    invariant: 2*%0 - %1 = 0",
+    "    invariant: 1 + 3*%0 - %2 = 0",
+    "    invariant: %0 + 2*%3 - %0^2 = 0",
+    "    invariant: 2*%0 + 4*%3 - %0*%1 = 0",
+];
+
+fn invariant_lines(report: &str) -> Vec<&str> {
+    report
+        .lines()
+        .filter(|l| l.trim_start().starts_with("invariant: "))
+        .collect()
+}
+
+#[test]
+fn loop_with_five_ivs_keeps_relations_over_its_first_four() {
+    let out = bivc_stdout(&["--invariants", FIVE_IVS]);
+    assert_eq!(invariant_lines(&out), FIVE_IV_RELATIONS, "report:\n{out}");
+}
+
 #[test]
 fn invariants_flag_is_pure_line_addition_and_recovers_planted_labels() {
     let dir = scratch_dir("inv-diff-local");
@@ -157,9 +185,13 @@ fn drain_fleet(children: Vec<Child>, endpoints: &str) {
 fn remote_and_three_shard_fleet_invariant_bytes_match_local_warm_and_cold() {
     let dir = scratch_dir("inv-diff-serve");
     write_invariant_corpus(&dir, &[7, 8, 9]);
+    std::fs::copy(FIVE_IVS, dir.join("five_ivs.biv")).expect("copy five-IV file");
     let dir_arg = dir.display().to_string();
     let reference = bivc_stdout(&["--invariants", &dir_arg]);
-    assert!(reference.contains("invariant: "));
+    let lines = invariant_lines(&reference);
+    for relation in FIVE_IV_RELATIONS {
+        assert!(lines.contains(&relation), "missing `{relation}`");
+    }
 
     // Daemon: the first pass analyzes, the second serves the daemon's
     // warm cache — the invariant lines must ride the cached summaries.
