@@ -378,19 +378,7 @@ impl BatchReport {
 /// Analyzes a batch of functions with a fresh cache.
 pub fn analyze_batch(funcs: &[Function], opts: &BatchOptions) -> BatchReport {
     let mut cache = StructuralCache::new(opts.cache_capacity);
-    analyze_batch_with_cache(funcs, opts, &mut cache)
-}
-
-/// Analyzes a batch of functions, consulting and updating `cache`.
-///
-/// The hit/miss plan is computed serially before any worker starts, so
-/// results, summaries, and statistics do not depend on scheduling.
-pub fn analyze_batch_with_cache(
-    funcs: &[Function],
-    opts: &BatchOptions,
-    cache: &mut StructuralCache,
-) -> BatchReport {
-    analyze_batch_with_backend(funcs, opts, cache)
+    analyze_batch_with_backend(funcs, opts, &mut cache)
 }
 
 /// Analyzes a batch of functions against any [`CacheBackend`] — the
@@ -603,18 +591,10 @@ pub fn cold_batch_stats(hashes: &[u64], capacity: usize) -> BatchStats {
 /// canonical and insertion is idempotent. Counter invariants are
 /// preserved under contention: every submitted function increments
 /// exactly one of the cache's cumulative `hits`/`misses` counters.
-pub fn analyze_batch_shared(
-    funcs: &[Function],
-    opts: &BatchOptions,
-    cache: &Mutex<StructuralCache>,
-) -> BatchReport {
-    analyze_batch_shared_backend(funcs, opts, cache)
-}
-
-/// [`analyze_batch_shared`] over any [`CacheBackend`] — what `bivd`
-/// runs when a durable store is configured. The lock is held only for
-/// the serial plan phase (lookups) and the commit phase (insertions and
-/// write-through appends), never while a function is being analyzed.
+///
+/// Works over any [`CacheBackend`]; `bivd` runs it on a memory+disk
+/// tier when a durable store is configured, and the lock then also
+/// covers the write-through appends of the commit phase.
 pub fn analyze_batch_shared_backend<B: CacheBackend>(
     funcs: &[Function],
     opts: &BatchOptions,
@@ -991,9 +971,9 @@ mod tests {
         let funcs = funcs_of(TWO_LOOPS);
         let opts = BatchOptions::default();
         let mut cache = StructuralCache::new(16);
-        let first = analyze_batch_with_cache(&funcs, &opts, &mut cache);
+        let first = analyze_batch_with_backend(&funcs, &opts, &mut cache);
         assert_eq!(first.stats.misses, 2);
-        let second = analyze_batch_with_cache(&funcs, &opts, &mut cache);
+        let second = analyze_batch_with_backend(&funcs, &opts, &mut cache);
         assert_eq!(second.stats.misses, 0);
         assert_eq!(second.stats.hits, 3);
         // Per-function output is identical whether analyzed or cached;
@@ -1011,7 +991,7 @@ mod tests {
             ..BatchOptions::default()
         };
         let mut cache = StructuralCache::new(opts.cache_capacity);
-        let report = analyze_batch_with_cache(&funcs, &opts, &mut cache);
+        let report = analyze_batch_with_backend(&funcs, &opts, &mut cache);
         assert_eq!(cache.len(), 1);
         assert_eq!(report.stats.evictions, 1);
         assert_eq!(cache.evictions(), 1);
@@ -1062,11 +1042,11 @@ mod tests {
             ..BatchOptions::default()
         };
         let shared = Mutex::new(StructuralCache::new(16));
-        let first = analyze_batch_shared(&funcs, &opts, &shared);
-        let second = analyze_batch_shared(&funcs, &opts, &shared);
+        let first = analyze_batch_shared_backend(&funcs, &opts, &shared);
+        let second = analyze_batch_shared_backend(&funcs, &opts, &shared);
         let mut exclusive = StructuralCache::new(16);
-        let expect_first = analyze_batch_with_cache(&funcs, &opts, &mut exclusive);
-        let expect_second = analyze_batch_with_cache(&funcs, &opts, &mut exclusive);
+        let expect_first = analyze_batch_with_backend(&funcs, &opts, &mut exclusive);
+        let expect_second = analyze_batch_with_backend(&funcs, &opts, &mut exclusive);
         assert_eq!(first.render(), expect_first.render());
         assert_eq!(second.render(), expect_second.render());
         let cache = shared.lock().unwrap();
@@ -1093,7 +1073,7 @@ mod tests {
             for _ in 0..4 {
                 scope.spawn(|| {
                     for _ in 0..rounds {
-                        let report = analyze_batch_shared(&funcs, &opts, &shared);
+                        let report = analyze_batch_shared_backend(&funcs, &opts, &shared);
                         for (f, name) in report.functions.iter().zip(["first", "second", "third"]) {
                             assert_eq!(f.name, name);
                         }
@@ -1115,7 +1095,7 @@ mod tests {
         drop(cache);
         // A warm follow-up run renders the same per-function blocks as a
         // cold exclusive run; only the stats line differs.
-        let warm = analyze_batch_shared(&funcs, &opts, &shared);
+        let warm = analyze_batch_shared_backend(&funcs, &opts, &shared);
         let cold = analyze_batch(&funcs, &opts);
         assert!(reference.contains(&cold.functions[0].render()));
         for (w, c) in warm.functions.iter().zip(&cold.functions) {

@@ -10,7 +10,7 @@
 #![cfg(feature = "fault-injection")]
 
 use biv_core::{
-    analyze_batch_with_cache, analyze_protected, AnalysisConfig, BatchOptions, StructuralCache,
+    analyze_batch_with_backend, analyze_protected, AnalysisConfig, BatchOptions, StructuralCache,
 };
 use biv_ir::parser::parse_program;
 
@@ -74,7 +74,7 @@ fn panicked_summaries_render_an_error_line_and_stay_out_of_the_cache() {
     let seed = arming_seed();
     biv_faults::install(seed, biv_faults::Profile::Analyze);
     let mut cache = StructuralCache::new(opts.cache_capacity);
-    let report = analyze_batch_with_cache(funcs, &opts, &mut cache);
+    let report = analyze_batch_with_backend(funcs, &opts, &mut cache);
     biv_faults::uninstall();
 
     let rendered = report.functions[0].render();
@@ -86,7 +86,7 @@ fn panicked_summaries_render_an_error_line_and_stay_out_of_the_cache() {
 
     // With the plan gone, the same cache serves a clean run: the poison
     // never happened.
-    let report = analyze_batch_with_cache(funcs, &opts, &mut cache);
+    let report = analyze_batch_with_backend(funcs, &opts, &mut cache);
     let rendered = report.functions[0].render();
     assert!(
         !rendered.contains("error:"),

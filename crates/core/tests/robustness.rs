@@ -124,7 +124,7 @@ fn budget_parse_roundtrips_and_rejects_garbage() {
 
 #[test]
 fn deterministic_breaches_are_cacheable_deadline_is_not() {
-    use biv_core::{analyze_batch_with_cache, StructuralCache};
+    use biv_core::{analyze_batch_with_backend, StructuralCache};
     let program = parse_program(QUADRATIC).expect("parses");
     let funcs = &program.functions[..1];
 
@@ -139,8 +139,8 @@ fn deterministic_breaches_are_cacheable_deadline_is_not() {
         ..BatchOptions::default()
     };
     let mut cache = StructuralCache::new(BatchOptions::default().cache_capacity);
-    analyze_batch_with_cache(funcs, &capped, &mut cache);
-    let report = analyze_batch_with_cache(funcs, &capped, &mut cache);
+    analyze_batch_with_backend(funcs, &capped, &mut cache);
+    let report = analyze_batch_with_backend(funcs, &capped, &mut cache);
     assert_eq!((report.stats.misses, report.stats.hits), (0, 1));
 
     // A deadline-limited summary might differ on a faster machine, so
@@ -154,8 +154,8 @@ fn deterministic_breaches_are_cacheable_deadline_is_not() {
         ..BatchOptions::default()
     };
     let mut cache = StructuralCache::new(BatchOptions::default().cache_capacity);
-    analyze_batch_with_cache(funcs, &deadline, &mut cache);
-    let report = analyze_batch_with_cache(funcs, &deadline, &mut cache);
+    analyze_batch_with_backend(funcs, &deadline, &mut cache);
+    let report = analyze_batch_with_backend(funcs, &deadline, &mut cache);
     assert_eq!((report.stats.misses, report.stats.hits), (1, 0));
 }
 

@@ -30,7 +30,7 @@
 //! | `store.write.torn` | a store append writes only a prefix of the record and the store wedges — a simulated crash mid-commit |
 //! | `store.write.short` | a store append is split across two writes (exercises the write loop; no data loss) |
 //! | `store.record.corrupt` | one byte of a record is flipped after its checksum was computed — caught by CRC on reopen |
-//! | `fleet.shard.unreachable` | a router dial fails as if the shard were dead — exercises redirect-to-successor |
+//! | `fleet.shard.unreachable` | a router dial fails as if the shard were dead — exercises re-routing to a successor |
 //! | `fleet.heartbeat.lost` | one gossip send is skipped — exercises the suspect/refute ladder |
 //! | `fleet.partition` | one gossip send is dropped as if the pair were partitioned (same effect as a lost heartbeat, drawn independently so both can stack) |
 //! | `fleet.replica.lag` | a replication batch is delayed before sending — exercises the `replication_lag` gauge and warm-failover under lag |
@@ -67,7 +67,7 @@ pub enum Profile {
     Store,
     /// Fleet faults only: a shard dial that fails as if the shard were
     /// dead (`fleet.shard.unreachable`, exercising the router's
-    /// redirect path), lost heartbeats and partitioned gossip pairs
+    /// failover path), lost heartbeats and partitioned gossip pairs
     /// (`fleet.heartbeat.lost`, `fleet.partition` — exercising the
     /// suspect/refute ladder), lagging replication pushes
     /// (`fleet.replica.lag`), and spurious event-loop wakeups
@@ -138,7 +138,7 @@ pub fn rate_per_1024(profile: Profile, site: &str) -> u32 {
         Profile::Chaos if net => 64,
         // Spurious event-loop wakeups are byte-safe by construction, so
         // chaos arms them too; `fleet.shard.unreachable` costs only a
-        // redirect and a re-dial, never bytes, so it rides along.
+        // re-route and a re-dial, never bytes, so it rides along.
         Profile::Chaos if epoll => 96,
         Profile::Chaos if unreachable => 48,
         Profile::Chaos if heartbeat => 48,

@@ -14,14 +14,17 @@
 //!   for failover;
 //! - [`membership`] — gossip-maintained versioned views of the fleet
 //!   (who is alive, where, at which incarnation), with SWIM-style
-//!   refutation and timeout-driven failure detection; routers bootstrap
-//!   the ring from any one live seed endpoint;
+//!   refutation and timeout-driven failure detection. The view type
+//!   and its JSON format live in `biv_server::cluster` (every `bivd`
+//!   answers `members` with one, agent or not) and are re-exported
+//!   here;
 //! - [`replicate`] — asynchronous R-way write-through of committed
 //!   summaries to each key's ring successors, so a killed primary's
 //!   keys are served warm from a replica;
-//! - [`router`] — batch fan-out, per-shard busy/redirect/death
-//!   handling, replica failover, and input-order reassembly (the
-//!   byte-identity lives here);
+//! - [`router`] — ring bootstrap by merging the seeds' membership
+//!   views, batch fan-out, per-shard busy and death handling, replica
+//!   failover, and input-order reassembly (the byte-identity lives
+//!   here);
 //! - [`stats`] — fleet-wide stats aggregation and the drain/rebalance
 //!   coordinator (a departing shard's store snapshot warm-starts its
 //!   successor).
@@ -36,7 +39,9 @@
 //! shards return per-file summary blocks plus structural hashes, and
 //! the router replays the batch stats line cold over all hashes in
 //! input order ([`biv_core::cold_batch_stats`]) exactly as a local run
-//! renders it — so failover re-routing is always safe.
+//! renders it — so failover re-routing is always safe, and a shard
+//! serves whatever batch reaches it without checking that the router
+//! placed it there.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -44,170 +44,12 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant, SystemTime};
 
 use biv_core::StructuralSummary;
+pub use biv_server::cluster::{Member, MemberState, View};
 use biv_server::{Client, ClusterHandle, ClusterHook, Endpoint, Json, Request, Response};
 
 use crate::faults;
 use crate::replicate::Replicator;
 use crate::ring::{content_key, Ring};
-
-/// Liveness of one fleet member, ordered by precedence rank: at equal
-/// incarnation a higher-rank claim overrides a lower one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MemberState {
-    /// Heartbeating normally; routable.
-    Alive,
-    /// Announced shutdown; finish in-flight work, route new work away.
-    Draining,
-    /// Missed heartbeats; still counted while the fleet decides.
-    Suspect,
-    /// Timed out (or drained away); excluded from routing until a
-    /// fresher incarnation refutes.
-    Dead,
-}
-
-impl MemberState {
-    fn rank(self) -> u8 {
-        match self {
-            MemberState::Alive => 0,
-            MemberState::Draining => 1,
-            MemberState::Suspect => 2,
-            MemberState::Dead => 3,
-        }
-    }
-
-    /// Wire name of the state.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            MemberState::Alive => "alive",
-            MemberState::Draining => "draining",
-            MemberState::Suspect => "suspect",
-            MemberState::Dead => "dead",
-        }
-    }
-
-    /// Parses a wire name.
-    pub fn parse(text: &str) -> Option<MemberState> {
-        match text {
-            "alive" => Some(MemberState::Alive),
-            "draining" => Some(MemberState::Draining),
-            "suspect" => Some(MemberState::Suspect),
-            "dead" => Some(MemberState::Dead),
-            _ => None,
-        }
-    }
-}
-
-/// One shard's record in a membership view.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Member {
-    /// Which ring position this record describes.
-    pub shard_id: u32,
-    /// Where the shard listens (`tcp:ADDR` or a Unix socket path).
-    pub endpoint: String,
-    /// Monotonic per-process-lifetime epoch; higher refutes lower.
-    pub incarnation: u64,
-    /// Current liveness claim.
-    pub state: MemberState,
-}
-
-impl Member {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("shard_id", Json::Int(i64::from(self.shard_id))),
-            ("endpoint", Json::Str(self.endpoint.clone())),
-            ("incarnation", Json::Int(self.incarnation as i64)),
-            ("state", Json::Str(self.state.as_str().to_string())),
-        ])
-    }
-
-    fn from_json(json: &Json) -> Result<Member, String> {
-        let shard_id = json
-            .get("shard_id")
-            .and_then(Json::as_i64)
-            .ok_or("member missing shard_id")?;
-        let endpoint = json
-            .get("endpoint")
-            .and_then(Json::as_str)
-            .ok_or("member missing endpoint")?;
-        let incarnation = json
-            .get("incarnation")
-            .and_then(Json::as_i64)
-            .ok_or("member missing incarnation")?;
-        let state = json
-            .get("state")
-            .and_then(Json::as_str)
-            .and_then(MemberState::parse)
-            .ok_or("member missing state")?;
-        Ok(Member {
-            shard_id: u32::try_from(shard_id).map_err(|_| "shard_id out of range")?,
-            endpoint: endpoint.to_string(),
-            incarnation: incarnation as u64,
-            state,
-        })
-    }
-}
-
-/// A versioned membership view: everything a router needs to build the
-/// ring and route around dead shards, learnable from any one member.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct View {
-    /// Bumped on every local change; merged views take the max plus one
-    /// so versions stay quasi-monotonic across the fleet.
-    pub version: u64,
-    /// Ring size the fleet was launched with (fixed for its lifetime).
-    pub shard_count: u32,
-    /// Replication factor R: each key lives on its primary plus the
-    /// next R−1 distinct ring successors.
-    pub replication: u32,
-    /// One record per shard met so far, sorted by shard id.
-    pub members: Vec<Member>,
-}
-
-impl View {
-    /// Encodes the view for a gossip/members frame.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("version", Json::Int(self.version as i64)),
-            ("shard_count", Json::Int(i64::from(self.shard_count))),
-            ("replication", Json::Int(i64::from(self.replication))),
-            (
-                "members",
-                Json::Arr(self.members.iter().map(Member::to_json).collect()),
-            ),
-        ])
-    }
-
-    /// Decodes a view from a gossip/members frame.
-    pub fn from_json(json: &Json) -> Result<View, String> {
-        let version = json
-            .get("version")
-            .and_then(Json::as_i64)
-            .ok_or("view missing version")?;
-        let shard_count = json
-            .get("shard_count")
-            .and_then(Json::as_i64)
-            .ok_or("view missing shard_count")?;
-        let replication = json.get("replication").and_then(Json::as_i64).unwrap_or(1);
-        let members = json
-            .get("members")
-            .and_then(Json::as_arr)
-            .ok_or("view missing members")?
-            .iter()
-            .map(Member::from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(View {
-            version: version as u64,
-            shard_count: u32::try_from(shard_count).map_err(|_| "shard_count out of range")?,
-            replication: u32::try_from(replication.max(1)).unwrap_or(1),
-            members,
-        })
-    }
-
-    /// The member record for one shard, if met.
-    pub fn member(&self, shard_id: u32) -> Option<&Member> {
-        self.members.iter().find(|m| m.shard_id == shard_id)
-    }
-}
 
 /// Static parameters of one shard's membership state machine.
 #[derive(Debug, Clone)]
@@ -302,8 +144,7 @@ impl Membership {
                     }
                     Some(ours) => {
                         let wins = m.incarnation > ours.incarnation
-                            || (m.incarnation == ours.incarnation
-                                && m.state.rank() > ours.state.rank());
+                            || (m.incarnation == ours.incarnation && m.state > ours.state);
                         if !wins {
                             continue;
                         }
@@ -350,14 +191,14 @@ impl Membership {
             .iter_mut()
             .find(|m| m.shard_id == config.shard_id)
             .expect("own record is inserted at construction and never removed");
-        if me.endpoint != config.endpoint || me.state.rank() > desired.rank() {
+        if me.endpoint != config.endpoint || me.state > desired {
             // The merge kept the highest-precedence claim, so one past
             // its incarnation outranks everything the fleet has seen.
             me.incarnation += 1;
             me.endpoint = config.endpoint.clone();
             me.state = desired;
             true
-        } else if me.state.rank() < desired.rank() {
+        } else if me.state < desired {
             // Alive -> Draining is a rank-up: wins at the same
             // incarnation, no bump needed.
             me.state = desired;

@@ -10,8 +10,8 @@
 //!
 //! The ring is a pure function of the shard count. Router and shards
 //! never exchange it; both sides derive the same placement from `N`,
-//! which is what lets a server reject a misrouted batch with a
-//! redirect instead of silently serving it.
+//! which is what lets a primary push its summaries to exactly the
+//! replicas the router fails over to.
 
 /// Virtual nodes per shard. 64 keeps the largest/smallest per-shard
 /// share within a few percent for small fleets while the ring stays

@@ -10,44 +10,33 @@
 //!          └──▶└──────── shard 2 ──────── per-file blocks ┘    line
 //! ```
 //!
-//! Routing is by content key ([`crate::ring::content_key`]) over the
-//! consistent-hash [`Ring`], so identical sources always land on the
-//! shard whose structural cache already holds their summaries. The
-//! fan-out runs in rounds: every pending file is grouped by its current
-//! shard, groups go out concurrently (one connection per group), and
-//! whatever a group's shard could not serve comes back as *pending* for
-//! the next round:
+//! **Bootstrap.** [`Router::new`] asks the configured endpoints, in
+//! order, for their membership views (`members` frame) and merges them:
+//! the first view fixes the ring size N and the replication factor R, a
+//! later view that disagrees on N is skipped with a note, and for each
+//! shard the first record seen wins. Probing stops once every shard
+//! `0..N` has a record, so a complete view from a cluster agent
+//! bootstraps the whole ring from one seed. A server without an agent
+//! answers with a one-member view of itself (R = N); the router dials
+//! such a shard at the seed address it was given, so an agent-less
+//! fleet is reachable at exactly the endpoints listed, in any order.
 //!
-//! - an unreachable or mid-batch-killed shard is marked dead and its
-//!   group re-routes;
-//! - a [`Response::Redirect`] teaches the router the endpoint's actual
-//!   shard identity (endpoints listed in the wrong order converge in
-//!   one extra round per misplaced pair) and the group re-sends;
-//! - a draining shard is treated as departing: dead, re-route.
-//!
-//! **Bootstrap.** [`Router::new`] first treats the configured endpoints
-//! as *seeds*: it asks each in turn for the fleet's membership view
-//! (`members` frame). The first view answer puts the router in
-//! *membership mode* — ring size, per-shard endpoints, initial
-//! liveness, and the replication factor R all come from the view, so
-//! one live seed suffices to discover the whole ring. A seed that
-//! answers `no-cluster` (a fleet run without membership agents) drops
-//! the router into the legacy *static mode*, where the endpoint list
-//! itself is the ring.
-//!
-//! **Failover scope.** Static mode re-routes a dead shard's files to
-//! any live ring successor — correct, but only warm by accident. In
-//! membership mode re-routing is scoped to each key's *replica set*
-//! (the R successors that replication actually writes to, see
+//! **Rounds.** Routing is by content key ([`crate::ring::content_key`])
+//! over the consistent-hash [`Ring`], so identical sources always land
+//! on the shard whose structural cache already holds their summaries.
+//! The fan-out runs in rounds: every pending file is grouped by the
+//! first live shard of its R-replica set, groups go out concurrently
+//! (one connection per group), and a group whose shard is unreachable,
+//! dies mid-exchange, or is draining marks that shard dead and comes
+//! back pending for the next round. Re-routing is scoped to each key's
+//! replica set (the R successors that replication writes to, see
 //! [`crate::replicate`]): a SIGKILLed primary's files are served warm
 //! by a replica, and a file whose **entire** replica set is dead fails
 //! as a file (`no live replica`) while the rest of the batch completes
-//! byte-identically.
+//! byte-identically. Every round that leaves files pending has marked
+//! another shard dead, so a batch settles within N + 1 rounds.
 //!
-//! Every file carries an attempt budget (`shard_count` +
-//! [`FleetConfig::max_redirects`]); a file that exhausts it fails *as a
-//! file* — the batch always completes with every other file's bytes
-//! intact. Per-shard busy rejections are absorbed with the exact client
+//! Per-shard busy rejections are absorbed with the exact client
 //! backoff policy ([`biv_server::client::busy_backoff`]); a group that
 //! exhausts its backoff budget is counted in
 //! [`FleetReport::backoff_exhausted`] (and the process-wide ledger,
@@ -69,21 +58,20 @@ use crate::ring::{content_key, Ring};
 /// take before the router tries the next seed.
 const PROBE_TIMEOUT: Duration = Duration::from_secs(2);
 
+/// The largest ring a membership view may describe.
+const MAX_SHARDS: u32 = 65_536;
+
 /// How the router talks to its fleet.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
-    /// Seed endpoints (`tcp:HOST:PORT` or a Unix socket path). With a
-    /// membership-running fleet, any one live entry bootstraps the full
-    /// ring; against an agent-less fleet this is the static shard list,
-    /// `endpoints[k]` believed to be shard `k` (a misordered list is
-    /// repaired at runtime from redirect responses).
+    /// Seed endpoints (`tcp:HOST:PORT` or a Unix socket path), probed
+    /// in order for membership views. One live member of an
+    /// agent-running fleet bootstraps the whole ring; an agent-less
+    /// fleet is reachable at the shards listed here, in any order.
     pub endpoints: Vec<String>,
     /// Cold-replay cache capacity for the stats line, exactly as
     /// `bivc --cache-cap` passes it. `None` means the default.
     pub cache_cap: Option<usize>,
-    /// Extra per-file attempts beyond one per shard before a file fails
-    /// with a give-up error.
-    pub max_redirects: u32,
     /// Busy rejections tolerated per group submission before the shard
     /// is declared saturated for those files.
     pub max_busy_retries: u32,
@@ -96,12 +84,11 @@ pub struct FleetConfig {
 }
 
 impl FleetConfig {
-    /// A config for `endpoints` with the default retry budgets.
+    /// A config for `endpoints` with the default retry budget.
     pub fn new(endpoints: Vec<String>) -> FleetConfig {
         FleetConfig {
             endpoints,
             cache_cap: None,
-            max_redirects: 4,
             max_busy_retries: 10,
             invariants: false,
         }
@@ -124,17 +111,15 @@ pub struct FleetReport {
     /// Per-file failures: parse errors from shards, plus files the
     /// router could not place anywhere.
     pub errors: Vec<FileError>,
-    /// Redirect responses survived while converging on endpoint
-    /// identities.
-    pub redirects: u64,
     /// Busy rejections absorbed by backoff across all shards.
     pub busy_retries: u64,
     /// Group submissions that ran out of busy-backoff budget.
     pub backoff_exhausted: u64,
     /// Shards found dead (unreachable or draining) during the batch.
     pub dead_shards: Vec<u32>,
-    /// Human-readable routing events (shard deaths and why) for the
-    /// caller's stderr; never part of `output`.
+    /// Human-readable routing events for the caller's stderr — shard
+    /// deaths and why, plus (on a router's first batch) what bootstrap
+    /// skipped; never part of `output`.
     pub notes: Vec<String>,
 }
 
@@ -147,38 +132,12 @@ enum GroupOutcome {
         analyzed: usize,
         cached: usize,
     },
-    /// The endpoint answered with its actual identity; re-route.
-    Redirected { shard_id: u32, shard_count: u32 },
-    /// The endpoint is unreachable or died mid-exchange; its files
-    /// re-route.
+    /// The shard is unreachable, died mid-exchange, or is draining:
+    /// mark it dead and re-route its files.
     Dead(String),
-    /// The shard is draining; treated as departing (dead, re-route).
-    Draining(String),
     /// The shard answered but unusably (busy exhaustion, protocol
     /// violation, refusal): the group's files fail, the batch goes on.
     Refused(String),
-}
-
-/// Per-file routing state while a batch is in flight.
-#[derive(Clone, Copy)]
-struct Pending {
-    /// Index into the input batch.
-    index: usize,
-    /// The file's ring position.
-    key: u64,
-    /// Submissions consumed (redirects, dead-shard re-routes). Bounded
-    /// by `shard_count + max_redirects`.
-    attempts: u32,
-}
-
-/// Where the router learned the ring, and how far failover may roam.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RouteScope {
-    /// Legacy static endpoint list: failover walks the whole ring.
-    Static,
-    /// Membership bootstrap: failover is scoped to each key's R-replica
-    /// set — only those shards received the key's summaries.
-    Replicas(u32),
 }
 
 /// A connected fleet router.
@@ -186,88 +145,61 @@ enum RouteScope {
 pub struct Router {
     config: FleetConfig,
     ring: Ring,
-    /// `endpoints_by_shard[k]` = the endpoint currently believed to
-    /// host shard `k` (`None` for a member the view has no endpoint
-    /// for). Redirect responses repair misassignments by swapping.
-    endpoints_by_shard: Vec<Option<String>>,
-    /// Liveness at bootstrap time; each batch starts from this and
-    /// marks further deaths as it finds them.
-    initial_alive: Vec<bool>,
-    scope: RouteScope,
+    /// `endpoints[k]` = where shard `k` listens, for every shard
+    /// bootstrap found routable (`None`: no record, or recorded dead).
+    /// Each batch starts from these and marks further deaths as it
+    /// finds them.
+    endpoints: Vec<Option<String>>,
+    /// Replication factor R: failover is scoped to each key's R-replica
+    /// set — only those shards received the key's summaries.
+    replication: u32,
+    /// Bootstrap notes not yet handed to a caller; they ride in the
+    /// next batch's [`FleetReport::notes`].
+    notes: Vec<String>,
 }
 
 impl Router {
-    /// Builds a router over `config.endpoints`: membership mode if any
-    /// seed answers a `members` probe with a view, static mode
-    /// otherwise (see the module docs).
+    /// Builds a router by merging the membership views of
+    /// `config.endpoints` (see the module docs).
     ///
     /// # Errors
-    /// With an empty endpoint list.
+    /// With an empty endpoint list, or `fleet unavailable: …` when no
+    /// seed answers with a usable view.
     pub fn new(config: FleetConfig) -> Result<Router, String> {
         if config.endpoints.is_empty() {
             return Err("a fleet needs at least one endpoint".into());
         }
-        match probe_members(&config.endpoints) {
-            Some(view) => Router::from_members(config, &view),
-            None => Router::from_static(config),
-        }
+        let (view, notes) = bootstrap(&config.endpoints)?;
+        Ok(Router::from_view(config, &view, notes))
     }
 
-    /// Builds a static-mode router: the endpoint list is the ring.
-    ///
-    /// # Errors
-    /// With an empty endpoint list.
-    pub fn from_static(config: FleetConfig) -> Result<Router, String> {
-        let n =
-            u32::try_from(config.endpoints.len()).map_err(|_| "too many endpoints".to_string())?;
-        if n == 0 {
-            return Err("a fleet needs at least one endpoint".into());
-        }
-        let endpoints_by_shard = config.endpoints.iter().cloned().map(Some).collect();
-        Ok(Router {
-            config,
-            ring: Ring::new(n),
-            endpoints_by_shard,
-            initial_alive: vec![true; n as usize],
-            scope: RouteScope::Static,
-        })
-    }
-
-    /// Builds a membership-mode router from a bootstrap view: ring
-    /// size, endpoints, liveness, and the replica scope all come from
-    /// the view. `config.endpoints` is kept only as the seed list.
-    ///
-    /// # Errors
-    /// When the view describes an empty or oversized ring.
-    pub fn from_members(config: FleetConfig, view: &View) -> Result<Router, String> {
+    /// Builds the router for a merged view: ring size, endpoints,
+    /// liveness, and R all come from it.
+    fn from_view(config: FleetConfig, view: &View, mut notes: Vec<String>) -> Router {
         let n = view.shard_count;
-        if n == 0 {
-            return Err("membership view describes an empty ring".into());
-        }
-        if n > 65_536 {
-            return Err(format!("membership view describes {n} shards; refusing"));
-        }
-        let mut endpoints_by_shard: Vec<Option<String>> = vec![None; n as usize];
-        let mut initial_alive = vec![false; n as usize];
+        let mut endpoints: Vec<Option<String>> = vec![None; n as usize];
         for m in &view.members {
-            if m.shard_id >= n {
-                continue;
-            }
-            endpoints_by_shard[m.shard_id as usize] = Some(m.endpoint.clone());
             // Anything short of Dead is still worth one dial: a
             // Suspect may well be alive, and a Draining record can be
             // a stale rumor about a shard that has already restarted.
             // If the dial fails the first group finds out and
             // re-routes; only a settled Dead verdict skips upfront.
-            initial_alive[m.shard_id as usize] = m.state != MemberState::Dead;
+            if m.state != MemberState::Dead {
+                endpoints[m.shard_id as usize] = Some(m.endpoint.clone());
+            }
         }
-        Ok(Router {
+        for k in 0..n {
+            if view.member(k).is_none() {
+                notes.push(format!("shard {k}: no seed reported it; routing around it"));
+            }
+        }
+        Router {
             config,
             ring: Ring::new(n),
-            endpoints_by_shard,
-            initial_alive,
-            scope: RouteScope::Replicas(view.replication.max(1)),
-        })
+            endpoints,
+            replication: view.replication.clamp(1, n),
+            notes,
+        }
     }
 
     /// The fleet size this router routes against.
@@ -275,13 +207,10 @@ impl Router {
         self.ring.shard_count()
     }
 
-    /// The replica scope when bootstrapped from a membership view
-    /// (`None` in static mode).
-    pub fn replica_scope(&self) -> Option<u32> {
-        match self.scope {
-            RouteScope::Static => None,
-            RouteScope::Replicas(r) => Some(r),
-        }
+    /// The replication factor R that scopes failover (the whole ring,
+    /// R = N, for a fleet without cluster agents).
+    pub fn replica_scope(&self) -> u32 {
+        self.replication
     }
 
     /// Analyzes `files` across the fleet. The returned
@@ -295,81 +224,47 @@ impl Router {
     /// Per-file trouble never fails the batch.
     pub fn analyze(&mut self, files: Vec<AnalyzeFile>) -> Result<FleetReport, String> {
         let n = self.shard_count();
-        let max_attempts = n + self.config.max_redirects;
+        let keys: Vec<u64> = files.iter().map(|f| content_key(&f.source)).collect();
         // Input-order result slots: a served per-file result, or a
         // routing-level error message.
         let mut slots: Vec<Option<Result<FleetFile, String>>> = vec![None; files.len()];
-        let mut alive = self.initial_alive.clone();
+        let mut alive: Vec<bool> = self.endpoints.iter().map(Option::is_some).collect();
         let mut dead_shards: Vec<u32> = Vec::new();
-        let mut notes: Vec<String> = Vec::new();
+        let mut notes: Vec<String> = std::mem::take(&mut self.notes);
         let (mut functions, mut analyzed, mut cached) = (0usize, 0usize, 0usize);
-        let (mut redirects, mut busy_retries, mut backoff_exhausted) = (0u64, 0u64, 0u64);
+        let (mut busy_retries, mut backoff_exhausted) = (0u64, 0u64);
+        let mut pending: Vec<usize> = (0..files.len()).collect();
 
-        let mut pending: Vec<Pending> = files
-            .iter()
-            .enumerate()
-            .map(|(index, f)| Pending {
-                index,
-                key: content_key(&f.source),
-                attempts: 0,
-            })
-            .collect();
-
-        while !pending.is_empty() {
-            if !alive.iter().any(|&a| a) {
-                for p in pending.drain(..) {
-                    slots[p.index] = Some(Err(format!(
-                        "no live shard left in the fleet ({n} configured, all dead)"
-                    )));
-                }
+        // Files re-route only off a shard found dead this round, and a
+        // round's groups go to distinct live shards, so each round that
+        // leaves files pending kills at least one more shard: after at
+        // most N such rounds, one more settles everything.
+        for _round in 0..=n {
+            if pending.is_empty() {
                 break;
             }
-
-            // Group this round's files by their current shard. BTreeMap
-            // keeps the fan-out order deterministic.
-            let mut routed: Vec<Pending> = Vec::with_capacity(pending.len());
+            // Group this round's files by the first live shard of their
+            // replica set. BTreeMap keeps the fan-out order
+            // deterministic.
             let mut groups: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
-            for p in std::mem::take(&mut pending) {
-                if p.attempts >= max_attempts {
-                    slots[p.index] = Some(Err(format!(
-                        "gave up after {} attempts (redirect loop or unstable fleet)",
-                        p.attempts
-                    )));
-                    continue;
-                }
-                let shard = match self.scope {
-                    // A live shard exists (checked above), so static
-                    // routing always hits.
-                    RouteScope::Static => self.ring.route(p.key, &alive),
-                    // Replica-scoped: only the R shards that hold this
-                    // key's summaries are candidates.
-                    RouteScope::Replicas(r) => self.ring.route_replica(p.key, &alive, r),
-                };
-                let Some(shard) = shard else {
-                    slots[p.index] = Some(Err(
-                        "no live replica: this file's primary and every replica are dead".into(),
-                    ));
-                    continue;
-                };
-                if self.endpoints_by_shard[shard as usize].is_none() {
-                    // Membership never met this shard; treat as dead and
-                    // retry the file against the rest of its set.
-                    if alive[shard as usize] {
-                        alive[shard as usize] = false;
-                        dead_shards.push(shard);
-                        notes.push(format!("shard {shard} has no known endpoint, skipping"));
+            for index in pending.drain(..) {
+                match self
+                    .ring
+                    .route_replica(keys[index], &alive, self.replication)
+                {
+                    Some(shard) => groups.entry(shard).or_default().push(index),
+                    None if alive.contains(&true) => {
+                        slots[index] = Some(Err(
+                            "no live replica: this file's primary and every replica are dead"
+                                .into(),
+                        ));
                     }
-                    pending.push(Pending {
-                        attempts: p.attempts + 1,
-                        ..p
-                    });
-                    continue;
+                    None => {
+                        slots[index] = Some(Err(format!(
+                            "no live shard left in the fleet ({n} configured, all dead)"
+                        )));
+                    }
                 }
-                groups.entry(shard).or_default().push(routed.len());
-                routed.push(p);
-            }
-            if routed.is_empty() {
-                continue;
             }
 
             // Fan the groups out, one connection per shard group.
@@ -378,21 +273,14 @@ impl Router {
                     let handles: Vec<_> = groups
                         .into_iter()
                         .map(|(shard, members)| {
-                            let endpoint = self.endpoints_by_shard[shard as usize]
+                            let endpoint = self.endpoints[shard as usize]
                                 .clone()
-                                .expect("groups only form over known endpoints");
-                            let payload: Vec<AnalyzeFile> = members
-                                .iter()
-                                .map(|&m| files[routed[m].index].clone())
-                                .collect();
-                            let cache_cap = self.config.cache_cap;
-                            let max_busy = self.config.max_busy_retries;
-                            let invariants = self.config.invariants;
-                            let handle = scope.spawn(move || {
-                                submit_group(
-                                    &endpoint, shard, n, payload, cache_cap, max_busy, invariants,
-                                )
-                            });
+                                .expect("only shards with endpoints start alive");
+                            let payload: Vec<AnalyzeFile> =
+                                members.iter().map(|&i| files[i].clone()).collect();
+                            let config = &self.config;
+                            let handle = scope
+                                .spawn(move || submit_group(&endpoint, shard, payload, config));
                             (shard, members, handle)
                         })
                         .collect();
@@ -427,71 +315,29 @@ impl Router {
                                 results.len(),
                                 members.len()
                             );
-                            for &m in &members {
-                                slots[routed[m].index] = Some(Err(reason.clone()));
+                            for &i in &members {
+                                slots[i] = Some(Err(reason.clone()));
                             }
                             continue;
                         }
                         functions += f;
                         analyzed += a;
                         cached += c;
-                        for (&m, result) in members.iter().zip(results) {
-                            slots[routed[m].index] = Some(Ok(result));
+                        for (&i, result) in members.iter().zip(results) {
+                            slots[i] = Some(Ok(result));
                         }
                     }
-                    GroupOutcome::Redirected {
-                        shard_id,
-                        shard_count,
-                    } => {
-                        redirects += 1;
-                        if shard_count != n {
-                            for &m in &members {
-                                slots[routed[m].index] = Some(Err(format!(
-                                    "shard disagreement: server believes the fleet is \
-                                     {shard_count} shards, router routed for {n}"
-                                )));
-                            }
-                            continue;
-                        }
-                        if shard_id >= n {
-                            for &m in &members {
-                                slots[routed[m].index] = Some(Err(format!(
-                                    "protocol error: redirect to shard {shard_id} of {n}"
-                                )));
-                            }
-                            continue;
-                        }
-                        // The endpoint we believed was `shard` is really
-                        // `shard_id`. Swap the two beliefs: a merely
-                        // permuted list fixes at least one pair per
-                        // round and converges.
-                        self.endpoints_by_shard
-                            .swap(shard as usize, shard_id as usize);
-                        for &m in &members {
-                            pending.push(Pending {
-                                attempts: routed[m].attempts + 1,
-                                ..routed[m]
-                            });
-                        }
-                    }
-                    GroupOutcome::Dead(reason) | GroupOutcome::Draining(reason) => {
-                        if alive[shard as usize] {
-                            alive[shard as usize] = false;
-                            dead_shards.push(shard);
-                            notes.push(format!(
-                                "shard {shard} marked dead, re-routing its files: {reason}"
-                            ));
-                        }
-                        for &m in &members {
-                            pending.push(Pending {
-                                attempts: routed[m].attempts + 1,
-                                ..routed[m]
-                            });
-                        }
+                    GroupOutcome::Dead(reason) => {
+                        alive[shard as usize] = false;
+                        dead_shards.push(shard);
+                        notes.push(format!(
+                            "shard {shard} marked dead, re-routing its files: {reason}"
+                        ));
+                        pending.extend(members);
                     }
                     GroupOutcome::Refused(reason) => {
-                        for &m in &members {
-                            slots[routed[m].index] = Some(Err(reason.clone()));
+                        for &i in &members {
+                            slots[i] = Some(Err(reason.clone()));
                         }
                     }
                 }
@@ -552,7 +398,6 @@ impl Router {
             analyzed,
             cached,
             errors,
-            redirects,
             busy_retries,
             backoff_exhausted,
             dead_shards,
@@ -561,27 +406,84 @@ impl Router {
     }
 }
 
-/// Probes the seed endpoints in order for a membership view. The first
-/// view answer wins; a `no-cluster` answer proves this fleet runs no
-/// agents, so probing stops and static mode takes over immediately.
-fn probe_members(seeds: &[String]) -> Option<View> {
+/// Probes `seeds` in order and merges their membership views, returning
+/// the merged view and notes on what was skipped (see the module docs
+/// for the rules).
+///
+/// # Errors
+/// `fleet unavailable: …` when no seed answers with a usable view.
+fn bootstrap(seeds: &[String]) -> Result<(View, Vec<String>), String> {
+    let mut merged: Option<View> = None;
+    let mut notes = Vec::new();
+    let mut last_error = String::new();
     for seed in seeds {
-        let Ok(mut client) = Client::connect_timeout(&Endpoint::parse(seed), PROBE_TIMEOUT) else {
-            continue;
-        };
-        match client.request(&Request::Members) {
-            Ok(Response::Members { view } | Response::Gossip { view }) => {
-                if let Ok(view) = View::from_json(&view) {
-                    if view.shard_count > 0 {
-                        return Some(view);
-                    }
-                }
+        let view = match probe(seed) {
+            Ok(view) => view,
+            Err(e) => {
+                last_error = e;
+                continue;
             }
-            Ok(Response::Error { kind, .. }) if kind == "no-cluster" => return None,
-            _ => continue,
+        };
+        let n = view.shard_count;
+        let merged = merged.get_or_insert_with(|| View {
+            version: view.version,
+            shard_count: n,
+            replication: view.replication,
+            members: Vec::new(),
+        });
+        if n != merged.shard_count {
+            notes.push(format!(
+                "seed {seed} describes a fleet of {n} shards, not {}; skipped",
+                merged.shard_count
+            ));
+            continue;
+        }
+        // A one-member view is the answering server describing itself:
+        // dial it where the operator said it is.
+        let from_itself = view.members.len() == 1;
+        for mut m in view.members {
+            if m.shard_id >= n {
+                notes.push(format!(
+                    "seed {seed} names shard {} of {n}; skipped",
+                    m.shard_id
+                ));
+            } else if merged.member(m.shard_id).is_none() {
+                if from_itself {
+                    m.endpoint = seed.clone();
+                }
+                merged.members.push(m);
+            }
+        }
+        if merged.members.len() == n as usize {
+            break;
         }
     }
-    None
+    match merged {
+        Some(view) => Ok((view, notes)),
+        None => Err(format!(
+            "fleet unavailable: no seed answered a membership probe (last: {last_error})"
+        )),
+    }
+}
+
+/// One seed's membership view, if it answers with a usable one.
+fn probe(seed: &str) -> Result<View, String> {
+    let endpoint = Endpoint::parse(seed);
+    let mut client = Client::connect_timeout(&endpoint, PROBE_TIMEOUT)
+        .map_err(|e| format!("cannot connect to {endpoint}: {e}"))?;
+    let view = match client.request(&Request::Members) {
+        Ok(Response::Members { view }) => View::from_json(&view)
+            .map_err(|e| format!("{endpoint} sent an unreadable view: {e}"))?,
+        Ok(other) => return Err(format!("{endpoint} answered out of protocol: {other:?}")),
+        Err(e) => return Err(format!("{endpoint}: {e}")),
+    };
+    if view.shard_count == 0 || view.shard_count > MAX_SHARDS {
+        return Err(format!(
+            "{endpoint} describes a fleet of {} shards",
+            view.shard_count
+        ));
+    }
+    Ok(view)
 }
 
 /// Sends one shard group and classifies the exchange, returning the
@@ -591,11 +493,8 @@ fn probe_members(seeds: &[String]) -> Option<View> {
 fn submit_group(
     endpoint: &str,
     shard: u32,
-    shard_count: u32,
     payload: Vec<AnalyzeFile>,
-    cache_cap: Option<usize>,
-    max_busy_retries: u32,
-    invariants: bool,
+    config: &FleetConfig,
 ) -> (GroupOutcome, u64, bool) {
     if faults::fire("fleet.shard.unreachable") {
         return (
@@ -617,11 +516,10 @@ fn submit_group(
     };
     let request = Request::AnalyzeFleet {
         files: payload,
-        cache_cap,
-        shard_id: shard,
-        shard_count,
-        invariants,
+        cache_cap: config.cache_cap,
+        invariants: config.invariants,
     };
+    let max_busy_retries = config.max_busy_retries;
     let mut attempt = 0u32;
     loop {
         let mut exhausted = false;
@@ -636,14 +534,6 @@ fn submit_group(
                 functions,
                 analyzed,
                 cached,
-            },
-            Ok(Response::Redirect {
-                shard_id,
-                shard_count,
-                ..
-            }) => GroupOutcome::Redirected {
-                shard_id,
-                shard_count,
             },
             Ok(Response::Busy { retry_after_ms }) => {
                 attempt += 1;
@@ -660,7 +550,7 @@ fn submit_group(
                 }
             }
             Ok(Response::Error { kind, message }) if kind == "draining" => {
-                GroupOutcome::Draining(format!("shard {shard} is draining: {message}"))
+                GroupOutcome::Dead(format!("shard {shard} is draining: {message}"))
             }
             Ok(Response::Error { kind, message }) => {
                 GroupOutcome::Refused(format!("shard {shard} refused ({kind}): {message}"))
@@ -782,7 +672,11 @@ mod tests {
         let mut config = FleetConfig::new(endpoints);
         config.cache_cap = Some(4);
         let mut router = Router::new(config).unwrap();
-        assert_eq!(router.replica_scope(), None, "agent-less fleet is static");
+        assert_eq!(
+            router.replica_scope(),
+            3,
+            "agent-less fleet: R is the whole ring"
+        );
         let report = router.analyze(files.clone()).unwrap();
 
         assert_eq!(report.output, local_output(&files, 4));
@@ -832,13 +726,13 @@ mod tests {
     }
 
     #[test]
-    fn permuted_endpoints_converge_via_redirects() {
+    fn reversed_endpoints_match_local_bytes_and_stay_warm() {
         let shards: Vec<_> = (0..3).map(|k| spawn_shard(k, 3)).collect();
-        // Hand the router the endpoints rotated by one: every shard it
-        // addresses answers with a redirect until the mapping is
-        // repaired.
-        let endpoints: Vec<String> = (0..3).map(|i| shards[(i + 1) % 3].0.clone()).collect();
-        let files: Vec<AnalyzeFile> = (0..4)
+        // Endpoints listed in reverse: shards 0 and 2 sit at each
+        // other's positions. Each shard's own view places it, so the
+        // list order must not matter.
+        let endpoints: Vec<String> = shards.iter().rev().map(|(e, _, _)| e.clone()).collect();
+        let files: Vec<AnalyzeFile> = (0..8)
             .map(|i| AnalyzeFile {
                 path: format!("mem/{i}.biv"),
                 source: format!("func f{i}(n) {{ L1: for i = 1 to n {{ A[i] = {i} }} }}\n"),
@@ -846,11 +740,17 @@ mod tests {
             .collect();
 
         let mut router = Router::new(FleetConfig::new(endpoints)).unwrap();
-        let report = router.analyze(files.clone()).unwrap();
+        assert_eq!(router.shard_count(), 3);
+        let cold = router.analyze(files.clone()).unwrap();
+        assert!(cold.errors.is_empty(), "{:?}", cold.errors);
+        assert_eq!(cold.output, local_output(&files, 4096));
 
-        assert!(report.redirects > 0, "rotation must trigger redirects");
-        assert!(report.errors.is_empty(), "{:?}", report.errors);
-        assert_eq!(report.output, local_output(&files, 4096));
+        // Every file went to the shard that owns its key, so a second
+        // batch is served entirely from shard caches.
+        let warm = router.analyze(files.clone()).unwrap();
+        assert_eq!(warm.output, cold.output);
+        assert_eq!(warm.cached, warm.functions, "warm batch fully cached");
+        assert_eq!(warm.analyzed, 0);
         stop(shards);
     }
 
@@ -874,9 +774,13 @@ mod tests {
 
         assert!(report.errors.is_empty(), "{:?}", report.errors);
         assert_eq!(report.output, local_output(&files, 4096));
-        // Whether shard 1 is *observed* dead depends on whether any
-        // file routed there; with 8 distinct sources it practically
-        // always is, but correctness above is the real assertion.
+        // No seed answered for shard 1, so bootstrap left it out of the
+        // ring and said so.
+        assert!(
+            report.notes.iter().any(|n| n.contains("shard 1: no seed")),
+            "{:?}",
+            report.notes
+        );
         stop(vec![s0, s2]);
     }
 
@@ -904,14 +808,41 @@ mod tests {
 
     #[test]
     fn all_shards_dead_is_a_batch_error() {
-        let mut router = Router::new(FleetConfig::new(vec![refused_endpoint()])).unwrap();
+        let err = Router::new(FleetConfig::new(vec![refused_endpoint()])).unwrap_err();
+        assert!(err.contains("fleet unavailable"), "{err}");
+    }
+
+    #[test]
+    fn a_batch_settles_within_shard_count_plus_one_rounds() {
+        // Three shards the view calls alive, none of them listening.
+        // One file visits its replica set in ring order: each round
+        // finds one more shard dead, and round N + 1 finds none left.
+        // A loop one round shorter would leave the file unrouted
+        // instead of failing the batch as fleet-wide.
+        let view = View {
+            version: 1,
+            shard_count: 3,
+            replication: 3,
+            members: (0..3)
+                .map(|shard_id| Member {
+                    shard_id,
+                    endpoint: refused_endpoint(),
+                    incarnation: 0,
+                    state: MemberState::Alive,
+                })
+                .collect(),
+        };
+        let mut router = Router::from_view(FleetConfig::new(Vec::new()), &view, Vec::new());
         let err = router
             .analyze(vec![AnalyzeFile {
                 path: "x.biv".into(),
                 source: SRC_A.to_string(),
             }])
             .unwrap_err();
-        assert!(err.contains("fleet unavailable"), "{err}");
+        assert!(
+            err.contains("fleet unavailable") && err.contains("no live shard"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -938,7 +869,7 @@ mod tests {
         // Wait for the seed's view to converge on all three members.
         let deadline = Instant::now() + std::time::Duration::from_secs(5);
         loop {
-            let view = probe_members(std::slice::from_ref(&s0.0));
+            let view = probe(&s0.0);
             let alive = view
                 .as_ref()
                 .map(|v| {
@@ -966,7 +897,7 @@ mod tests {
             .collect();
         let mut router = Router::new(FleetConfig::new(vec![s0.0.clone()])).unwrap();
         assert_eq!(router.shard_count(), 3, "ring learned from the view");
-        assert_eq!(router.replica_scope(), Some(2), "R rides in the view");
+        assert_eq!(router.replica_scope(), 2, "R rides in the view");
         let report = router.analyze(files.clone()).unwrap();
         assert!(report.errors.is_empty(), "{:?}", report.errors);
         assert_eq!(report.output, local_output(&files, 4096));
@@ -1035,7 +966,7 @@ mod tests {
             members,
         };
         let seeds: Vec<String> = shards.iter().map(|(e, _, _)| e.clone()).collect();
-        let mut router = Router::from_members(FleetConfig::new(seeds), &view).unwrap();
+        let mut router = Router::from_view(FleetConfig::new(seeds), &view, Vec::new());
 
         let files = vec![doomed.clone(), survivor.clone()];
         let report = router.analyze(files).unwrap();

@@ -14,7 +14,7 @@
 //!
 //! ```text
 //!   readable ──→ read_buf ──(full frame? no job in flight?)──→ decode
-//!      decode ──→ inline (ping/stats/shutdown/redirect): bytes queued
+//!      decode ──→ inline (ping/stats/shutdown/members): bytes queued
 //!             └─→ queued job: `pending = seq`, decode pauses
 //!   completion (worker, via eventfd) ──(seq matches?)──→ bytes queued
 //!                                        └─ stale ──→ late_results
@@ -457,7 +457,7 @@ pub(crate) fn run_event(
     config: ServerConfig,
     shutdown: &AtomicBool,
 ) -> io::Result<ServeSummary> {
-    let shared = Shared::open(&config, shutdown)?;
+    let shared = Shared::open(&config, &listener, shutdown)?;
     let workers = shared.workers;
     listener.set_nonblocking(true)?;
     let epoll = Epoll::new()?;

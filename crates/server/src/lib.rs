@@ -22,7 +22,9 @@
 //!   drain, and the threaded fallback front-end;
 //! - `event` (Linux) — the readiness-driven epoll front-end that owns
 //!   every connection's I/O on one thread;
-//! - [`client`] — the blocking client `bivc --remote` is built on.
+//! - [`client`] — the blocking client `bivc --remote` is built on;
+//! - [`cluster`] — the membership view every server answers `members`
+//!   with, and the hook a fleet agent plugs in.
 //!
 //! The contract that makes remote serving safe to adopt: an `analyze`
 //! response is **byte-identical** to what a local `bivc` run would
@@ -48,7 +50,7 @@ pub mod server;
 pub mod signal;
 
 pub use client::Client;
-pub use cluster::{ClusterHandle, ClusterHook};
+pub use cluster::{ClusterHandle, ClusterHook, Member, MemberState, View};
 pub use json::Json;
 pub use net::{Conn, Endpoint, Listener};
 pub use proto::{AnalyzeFile, FileError, FleetFile, ReplicaEntry, Request, Response};

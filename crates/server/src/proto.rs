@@ -9,9 +9,8 @@
 //! | request | response |
 //! |---------|----------|
 //! | `{"op":"ping"}` | `{"ok":true,"op":"pong"}` |
-//! | `{"op":"analyze","files":[{"path","source"},…],"cache_cap"?}` | `{"ok":true,"op":"analyze","output",…,"errors":[…]}` |
-//! | `{"op":"invariants","files":[…],"cache_cap"?}` | `{"ok":true,"op":"analyze","output",…}` with invariant lines |
-//! | `{"op":"analyze_fleet","files":[…],"shard_id","shard_count","cache_cap"?,"invariants"?}` | `{"ok":true,"op":"analyze_fleet","files":[{"path","output","hashes",…}]}` |
+//! | `{"op":"analyze","files":[{"path","source"},…],"cache_cap"?,"invariants"?}` | `{"ok":true,"op":"analyze","output",…,"errors":[…]}` |
+//! | `{"op":"analyze_fleet","files":[…],"cache_cap"?,"invariants"?}` | `{"ok":true,"op":"analyze_fleet","files":[{"path","output","hashes",…}]}` |
 //! | `{"op":"preload","dir":PATH}` | `{"ok":true,"op":"preload","loaded":N}` |
 //! | `{"op":"stats"}` | `{"ok":true,"op":"stats","stats":{…}}` |
 //! | `{"op":"gossip","from"?,"view":{…}}` | `{"ok":true,"op":"gossip","view":{…}}` |
@@ -19,11 +18,12 @@
 //! | `{"op":"replicate","entries":[{"hash","summary"},…]}` | `{"ok":true,"op":"replicate","stored":N}` |
 //! | `{"op":"shutdown"}` | `{"ok":true,"op":"shutdown"}`, then drain |
 //!
+//! `"invariants":true` renders each loop's verified invariant lines;
+//! absent or `null` means off, anything else is rejected.
+//!
 //! Failure responses are `{"ok":false,"error":KIND,…}`; the `busy`
 //! kind additionally carries `retry_after_ms` — the server's explicit
-//! backpressure signal — and the `redirect` kind carries the answering
-//! shard's actual `shard_id`/`shard_count` so a fleet router can
-//! re-route a batch that reached the wrong shard.
+//! backpressure signal.
 //!
 //! The fleet variant of analyze differs from the plain one in exactly
 //! one way: instead of a single rendered report ending in a stats line,
@@ -68,10 +68,9 @@ pub enum Request {
         /// the deterministic cold-run stats line (the server's actual
         /// cache is sized server-side). `None` means the default.
         cache_cap: Option<usize>,
-        /// Render each loop's verified polynomial invariants. On the
-        /// wire this is the `invariants` op — same payload shape as
-        /// `analyze`, invariant lines included in the output. Summaries
-        /// always carry their invariants either way, so flag state never
+        /// Render each loop's verified polynomial invariants (the
+        /// optional `invariants` field on the wire). Summaries always
+        /// carry their invariants either way, so flag state never
         /// affects what gets cached or stored.
         invariants: bool,
     },
@@ -84,13 +83,8 @@ pub enum Request {
         /// Carried so a shard answering a *whole* batch alone (fleet of
         /// one) replays the same capacity the router would.
         cache_cap: Option<usize>,
-        /// The shard identity the router believes it is addressing; a
-        /// mismatch answers [`Response::Redirect`] instead of serving.
-        shard_id: u32,
-        /// The fleet size the router routed against.
-        shard_count: u32,
         /// Render invariant lines in the per-file blocks, as for
-        /// [`Request::Analyze`]; optional on the wire, default off.
+        /// [`Request::Analyze`].
         invariants: bool,
     },
     /// Preload the server's cache from a drained shard's store
@@ -213,16 +207,6 @@ pub enum Response {
         /// Suggested client-side delay before retrying.
         retry_after_ms: u64,
     },
-    /// A fleet request addressed the wrong shard: this server's actual
-    /// identity, so the router can repair its view and re-route.
-    Redirect {
-        /// The answering server's configured shard id.
-        shard_id: u32,
-        /// The answering server's configured fleet size.
-        shard_count: u32,
-        /// Human-readable detail.
-        message: String,
-    },
     /// Any other failure.
     Error {
         /// Stable machine-readable kind (`bad-request`, `timeout`,
@@ -296,6 +280,36 @@ fn decode_cache_cap(json: &Json) -> Result<Option<usize>, ProtoError> {
     }
 }
 
+/// Encodes the fields `analyze` and `analyze_fleet` share. Optional
+/// fields are written only when set, so a plain request's bytes carry
+/// neither.
+fn encode_analyze(
+    op: &str,
+    files: &[AnalyzeFile],
+    cache_cap: Option<usize>,
+    invariants: bool,
+) -> Json {
+    let mut pairs = vec![("op", Json::Str(op.into())), ("files", encode_files(files))];
+    if let Some(cap) = cache_cap {
+        pairs.push(("cache_cap", Json::Int(cap as i64)));
+    }
+    if invariants {
+        pairs.push(("invariants", Json::Bool(true)));
+    }
+    Json::obj(pairs)
+}
+
+/// The optional `invariants` flag: absent or `null` is off, a
+/// non-boolean is a protocol error.
+fn decode_invariants(json: &Json) -> Result<bool, ProtoError> {
+    match json.get("invariants") {
+        None | Some(Json::Null) => Ok(false),
+        Some(v) => v
+            .as_bool()
+            .ok_or_else(|| bad("`invariants` must be a boolean")),
+    }
+}
+
 fn decode_u32(json: &Json, key: &str) -> Result<u32, ProtoError> {
     json.get(key)
         .and_then(Json::as_i64)
@@ -335,35 +349,12 @@ impl Request {
                 files,
                 cache_cap,
                 invariants,
-            } => {
-                let op = if *invariants { "invariants" } else { "analyze" };
-                let mut pairs = vec![("op", Json::Str(op.into())), ("files", encode_files(files))];
-                if let Some(cap) = cache_cap {
-                    pairs.push(("cache_cap", Json::Int(*cap as i64)));
-                }
-                Json::obj(pairs)
-            }
+            } => encode_analyze("analyze", files, *cache_cap, *invariants),
             Request::AnalyzeFleet {
                 files,
                 cache_cap,
-                shard_id,
-                shard_count,
                 invariants,
-            } => {
-                let mut pairs = vec![
-                    ("op", Json::Str("analyze_fleet".into())),
-                    ("files", encode_files(files)),
-                    ("shard_id", Json::Int(i64::from(*shard_id))),
-                    ("shard_count", Json::Int(i64::from(*shard_count))),
-                ];
-                if let Some(cap) = cache_cap {
-                    pairs.push(("cache_cap", Json::Int(*cap as i64)));
-                }
-                if *invariants {
-                    pairs.push(("invariants", Json::Bool(true)));
-                }
-                Json::obj(pairs)
-            }
+            } => encode_analyze("analyze_fleet", files, *cache_cap, *invariants),
             Request::Preload { dir } => Json::obj(vec![
                 ("op", Json::Str("preload".into())),
                 ("dir", Json::Str(dir.clone())),
@@ -410,22 +401,15 @@ impl Request {
             "ping" => Ok(Request::Ping),
             "stats" => Ok(Request::Stats),
             "shutdown" => Ok(Request::Shutdown),
-            "analyze" | "invariants" => Ok(Request::Analyze {
+            "analyze" => Ok(Request::Analyze {
                 files: decode_files(&json, op)?,
                 cache_cap: decode_cache_cap(&json)?,
-                invariants: op == "invariants",
+                invariants: decode_invariants(&json)?,
             }),
             "analyze_fleet" => Ok(Request::AnalyzeFleet {
-                files: decode_files(&json, "analyze_fleet")?,
+                files: decode_files(&json, op)?,
                 cache_cap: decode_cache_cap(&json)?,
-                shard_id: decode_u32(&json, "shard_id")?,
-                shard_count: decode_u32(&json, "shard_count")?,
-                invariants: match json.get("invariants") {
-                    None | Some(Json::Null) => false,
-                    Some(v) => v
-                        .as_bool()
-                        .ok_or_else(|| bad("`invariants` must be a boolean"))?,
-                },
+                invariants: decode_invariants(&json)?,
             }),
             "preload" => Ok(Request::Preload {
                 dir: json
@@ -585,17 +569,6 @@ impl Response {
                 ("error", Json::Str("busy".into())),
                 ("retry_after_ms", Json::Int(*retry_after_ms as i64)),
             ]),
-            Response::Redirect {
-                shard_id,
-                shard_count,
-                message,
-            } => Json::obj(vec![
-                ("ok", Json::Bool(false)),
-                ("error", Json::Str("redirect".into())),
-                ("shard_id", Json::Int(i64::from(*shard_id))),
-                ("shard_count", Json::Int(i64::from(*shard_count))),
-                ("message", Json::Str(message.clone())),
-            ]),
             Response::Error { kind, message } => Json::obj(vec![
                 ("ok", Json::Bool(false)),
                 ("error", Json::Str(kind.clone())),
@@ -625,17 +598,6 @@ impl Response {
                     .unwrap_or(50)
                     .max(0) as u64;
                 return Ok(Response::Busy { retry_after_ms });
-            }
-            if kind == "redirect" {
-                return Ok(Response::Redirect {
-                    shard_id: decode_u32(&json, "shard_id")?,
-                    shard_count: decode_u32(&json, "shard_count")?,
-                    message: json
-                        .get("message")
-                        .and_then(Json::as_str)
-                        .unwrap_or("")
-                        .to_string(),
-                });
             }
             let message = json
                 .get("message")
@@ -822,15 +784,11 @@ mod tests {
                     source: "func g(n) { L1: for i = 1 to n { A[i] = i } }\n".into(),
                 }],
                 cache_cap: None,
-                shard_id: 2,
-                shard_count: 3,
                 invariants: false,
             },
             Request::AnalyzeFleet {
                 files: vec![],
                 cache_cap: Some(4),
-                shard_id: 0,
-                shard_count: 3,
                 invariants: true,
             },
             Request::Preload {
@@ -867,21 +825,32 @@ mod tests {
     }
 
     #[test]
-    fn invariants_flag_selects_the_invariants_op() {
+    fn invariants_flag_is_an_optional_analyze_field() {
         let req = Request::Analyze {
             files: vec![],
             cache_cap: None,
             invariants: true,
         };
         let text = String::from_utf8(req.encode()).unwrap();
-        assert!(text.contains(r#""op":"invariants""#), "{text}");
+        assert_eq!(text, r#"{"op":"analyze","files":[],"invariants":true}"#);
+        // Off, the flag is not written: a plain request's bytes are the
+        // same as before the flag existed.
         let plain = Request::Analyze {
             files: vec![],
-            cache_cap: None,
+            cache_cap: Some(4),
             invariants: false,
         };
         let text = String::from_utf8(plain.encode()).unwrap();
-        assert!(text.contains(r#""op":"analyze""#), "{text}");
+        assert_eq!(text, r#"{"op":"analyze","files":[],"cache_cap":4}"#);
+        let null = br#"{"op":"analyze","files":[],"invariants":null}"#;
+        assert_eq!(
+            Request::decode(null).unwrap(),
+            Request::Analyze {
+                files: vec![],
+                cache_cap: None,
+                invariants: false,
+            }
+        );
     }
 
     #[test]
@@ -935,11 +904,6 @@ mod tests {
                 view: Json::obj(vec![("members", Json::Arr(vec![]))]),
             },
             Response::ReplicateAck { stored: 9 },
-            Response::Redirect {
-                shard_id: 1,
-                shard_count: 3,
-                message: "this server is shard 1/3, not 0/3".into(),
-            },
         ];
         for r in resps {
             assert_eq!(Response::decode(&r.encode()).unwrap(), r);
@@ -954,23 +918,19 @@ mod tests {
         assert!(Request::decode(br#"{"op":"analyze"}"#).is_err());
         assert!(Response::decode(br#"{"op":"pong"}"#).is_err());
         assert!(Request::decode(&[0xff, 0xfe]).is_err());
-        // Fleet frames: missing identity, non-hex hashes, and a
-        // redirect without its shard fields all fail as protocol
-        // errors, never as panics or silent defaults.
-        assert!(Request::decode(br#"{"op":"analyze_fleet","files":[]}"#).is_err());
+        // Fleet frames: missing files and non-hex hashes fail as
+        // protocol errors, never as panics or silent defaults.
+        assert!(Request::decode(br#"{"op":"analyze_fleet"}"#).is_err());
         assert!(Request::decode(br#"{"op":"preload"}"#).is_err());
-        // The invariants op shares analyze's shape and its failure
-        // modes; a non-boolean fleet `invariants` field is rejected.
-        assert!(Request::decode(br#"{"op":"invariants"}"#).is_err());
-        assert!(Request::decode(
-            br#"{"op":"analyze_fleet","files":[],"shard_id":0,"shard_count":1,"invariants":"yes"}"#
-        )
-        .is_err());
+        // `invariants` is a field, not an op, and must be a boolean on
+        // both analyze shapes.
+        assert!(Request::decode(br#"{"op":"invariants","files":[]}"#).is_err());
+        assert!(Request::decode(br#"{"op":"analyze","files":[],"invariants":"yes"}"#).is_err());
+        assert!(Request::decode(br#"{"op":"analyze_fleet","files":[],"invariants":1}"#).is_err());
         assert!(Response::decode(
             br#"{"ok":true,"op":"analyze_fleet","files":[{"path":"x","output":"","hashes":["zz"]}],"functions":0,"analyzed":0,"cached":0}"#
         )
         .is_err());
-        assert!(Response::decode(br#"{"ok":false,"error":"redirect"}"#).is_err());
         assert!(Response::decode(br#"{"ok":true,"op":"preload"}"#).is_err());
         // Membership and replication frames: a gossip without a view
         // (or with a view that has no member list), replica entries

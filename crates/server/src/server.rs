@@ -49,7 +49,7 @@ use biv_ir::parser::parse_program;
 use biv_ir::Function;
 use biv_store::{Store, StoreOptions, TieredCache};
 
-use crate::cluster::ClusterHandle;
+use crate::cluster::{ClusterHandle, View};
 use crate::frame::{write_frame, MAX_FRAME_BYTES};
 use crate::metrics::{CacheGauges, Metrics, PhaseSample, ShardInfo};
 use crate::net::{Conn, Endpoint, Listener};
@@ -93,8 +93,9 @@ pub struct ServerConfig {
     /// Which network front-end owns connection I/O.
     pub net_mode: NetMode,
     /// The membership/replication agent, when this server is a fleet
-    /// member started with peers. `None` serves `gossip`/`members`
-    /// with a `no-cluster` error and replicates nothing.
+    /// member started with peers. `None` answers `members` with a
+    /// one-member view of this server ([`View::single`]), `gossip` with
+    /// a `no-cluster` error, and replicates nothing.
     pub cluster: Option<ClusterHandle>,
 }
 
@@ -217,6 +218,8 @@ pub(crate) struct Job {
 /// and workers.
 pub(crate) struct Shared<'a> {
     pub(crate) config: &'a ServerConfig,
+    /// The bound endpoint, advertised in the one-member view.
+    pub(crate) endpoint: String,
     pub(crate) workers: usize,
     pub(crate) queue: JobQueue<Job>,
     pub(crate) cache: Mutex<Box<dyn CacheBackend + Send>>,
@@ -230,6 +233,7 @@ impl<'a> Shared<'a> {
     /// front-ends serve from.
     pub(crate) fn open(
         config: &'a ServerConfig,
+        listener: &Listener,
         shutdown: &'a AtomicBool,
     ) -> io::Result<Shared<'a>> {
         // Opening the store *is* the preload: every surviving record is
@@ -244,6 +248,7 @@ impl<'a> Shared<'a> {
         };
         Ok(Shared {
             config,
+            endpoint: listener.bound_endpoint(),
             workers: resolve_jobs(config.workers),
             queue: JobQueue::new(config.queue_cap),
             cache: Mutex::new(backend),
@@ -337,7 +342,7 @@ fn run_threaded(
     config: ServerConfig,
     shutdown: &AtomicBool,
 ) -> io::Result<ServeSummary> {
-    let shared = Shared::open(&config, shutdown)?;
+    let shared = Shared::open(&config, &listener, shutdown)?;
     let workers = shared.workers;
     listener.set_nonblocking(true)?;
 
@@ -443,7 +448,7 @@ pub(crate) fn worker_loop(shared: &Shared<'_>) {
         crate::faults::maybe_panic("worker.die");
         // UnwindSafe audit: the closure borrows `shared` (atomics and
         // mutexes — both poison-or-recover on unwind; the structural
-        // cache mutex is only held inside `analyze_batch_shared`, which
+        // cache mutex is only held inside `analyze_batch_shared_backend`, which
         // releases it between functions) and `job`/`opts` by shared
         // reference without interior mutation. Core thread-local
         // scratch is reset by `analyze_protected`'s own catch before
@@ -815,9 +820,9 @@ pub(crate) enum Routed {
     Queue(JobKind),
 }
 
-/// Classifies a request: inline (ping/stats/shutdown, and fleet
-/// requests that reached the wrong shard → redirect) or queued. Shared
-/// by both front-ends so they serve identical semantics.
+/// Classifies a request: inline (ping/stats/shutdown and membership
+/// ops) or queued. Shared by both front-ends so they serve identical
+/// semantics.
 pub(crate) fn route_request(shared: &Shared<'_>, request: Request) -> Routed {
     let inline = |response| Routed::Inline {
         response,
@@ -842,32 +847,12 @@ pub(crate) fn route_request(shared: &Shared<'_>, request: Request) -> Routed {
         Request::AnalyzeFleet {
             files,
             cache_cap,
-            shard_id,
-            shard_count,
             invariants,
-        } => {
-            let config = shared.config;
-            if shard_id != config.shard_id || shard_count != config.shard_count {
-                // Don't serve a batch routed under the wrong fleet
-                // view: the router's cache locality (and its stats
-                // attribution) depend on its map being right. Answer
-                // with our real identity so it can repair and re-route.
-                inline(Response::Redirect {
-                    shard_id: config.shard_id,
-                    shard_count: config.shard_count,
-                    message: format!(
-                        "this server is shard {}/{}, not {shard_id}/{shard_count}",
-                        config.shard_id, config.shard_count
-                    ),
-                })
-            } else {
-                Routed::Queue(JobKind::AnalyzeFleet {
-                    files,
-                    cache_cap,
-                    invariants,
-                })
-            }
-        }
+        } => Routed::Queue(JobKind::AnalyzeFleet {
+            files,
+            cache_cap,
+            invariants,
+        }),
         Request::Preload { dir } => Routed::Queue(JobKind::Preload { dir }),
         // Membership ops are answered inline from the event/accept
         // loop: a gossip merge is a small in-memory operation and must
@@ -878,28 +863,26 @@ pub(crate) fn route_request(shared: &Shared<'_>, request: Request) -> Routed {
             Some(cluster) => Response::Gossip {
                 view: cluster.0.on_gossip(from, &view),
             },
-            None => no_cluster_response(),
-        }),
-        Request::Members => inline(match &shared.config.cluster {
-            Some(cluster) => Response::Members {
-                view: cluster.0.view(),
+            None => Response::Error {
+                kind: "no-cluster".into(),
+                message: "this server has no membership agent (start bivd with --peers)".into(),
             },
-            None => no_cluster_response(),
+        }),
+        Request::Members => inline(Response::Members {
+            view: match &shared.config.cluster {
+                Some(cluster) => cluster.0.view(),
+                None => View::single(
+                    shared.config.shard_id,
+                    shared.config.shard_count,
+                    shared.endpoint.clone(),
+                )
+                .to_json(),
+            },
         }),
         // Replica pushes take the cache lock and may hit the store, so
         // they queue like preloads; a full queue answers busy and the
         // pushing primary retries with backoff.
         Request::Replicate { entries } => Routed::Queue(JobKind::Replicate { entries }),
-    }
-}
-
-/// The rejection for membership ops on a server with no cluster agent.
-/// Routers probe with `members` to decide between seed-bootstrap and
-/// static-list modes, so the kind is load-bearing.
-fn no_cluster_response() -> Response {
-    Response::Error {
-        kind: "no-cluster".into(),
-        message: "this server has no membership agent (start bivd with --peers)".into(),
     }
 }
 
@@ -1473,7 +1456,7 @@ mod tests {
     }
 
     #[test]
-    fn fleet_analyze_returns_blocks_and_redirects_wrong_identity() {
+    fn fleet_analyze_returns_blocks_and_members_answers_a_single_view() {
         let mut config = ServerConfig::new(Endpoint::Tcp(String::new()));
         config.workers = 1;
         config.shard_id = 1;
@@ -1481,35 +1464,24 @@ mod tests {
         let (endpoint, handle) = spawn_server(config);
         let mut client = Client::connect(&Endpoint::parse(&endpoint)).unwrap();
 
-        // A batch routed under the wrong fleet view is redirected, not
-        // served.
-        let response = client
-            .request(&Request::AnalyzeFleet {
-                files: files(1),
-                cache_cap: None,
-                shard_id: 0,
-                shard_count: 3,
-                invariants: false,
-            })
-            .unwrap();
-        let Response::Redirect {
-            shard_id,
-            shard_count,
-            ..
-        } = response
-        else {
-            panic!("expected redirect, got {response:?}");
+        // With no cluster agent, `members` answers a view of this
+        // server alone, at the endpoint it is bound to; R is the whole
+        // ring because nothing replicates.
+        let Response::Members { view } = client.request(&Request::Members).unwrap() else {
+            panic!("expected a members view");
         };
-        assert_eq!((shard_id, shard_count), (1, 3));
+        assert_eq!(
+            View::from_json(&view).unwrap(),
+            View::single(1, 3, endpoint.clone())
+        );
+        assert_eq!(View::single(1, 3, endpoint.clone()).replication, 3);
 
-        // The right identity gets per-file blocks plus hashes and no
-        // stats line — the router renders that itself.
+        // A fleet batch gets per-file blocks plus hashes and no stats
+        // line — the router renders that itself.
         let response = client
             .request(&Request::AnalyzeFleet {
                 files: files(2),
                 cache_cap: None,
-                shard_id: 1,
-                shard_count: 3,
                 invariants: false,
             })
             .unwrap();
@@ -1549,8 +1521,6 @@ mod tests {
                     },
                 ],
                 cache_cap: None,
-                shard_id: 1,
-                shard_count: 3,
                 invariants: false,
             })
             .unwrap();

@@ -63,10 +63,12 @@
 //! daemon's warm cache changes latency, never output.
 //!
 //! `--fleet EP1,EP2,...` shards the batch across an N-shard `bivd`
-//! fleet (each started with `bivd --fleet shard=K/N`): files route by
-//! consistent hashing on content, shard failures re-route to ring
-//! successors, and the reassembled stdout is *still* byte-identical to
-//! a local run. A file no live shard can serve fails individually on
+//! fleet (each started with `bivd --fleet shard=K/N`): the router
+//! learns the ring from the endpoints' membership views (list every
+//! shard, in any order, or one live member of a `--peers` fleet),
+//! files route by consistent hashing on content, shard failures
+//! re-route to ring successors, and the reassembled stdout is *still*
+//! byte-identical to a local run. A file no live shard can serve fails individually on
 //! stderr; the rest of the batch is unaffected.
 //!
 //! `--invariants` adds machine-checked per-loop polynomial invariants
@@ -860,7 +862,7 @@ fn run_batch_remote(
 /// Shards the batch across a `bivd` fleet via the consistent-hash
 /// router. The stdout bytes match a local run exactly — files are
 /// reassembled in input order and the stats line is replayed cold over
-/// the whole batch — while shard deaths, redirects, and per-file
+/// the whole batch — while shard deaths, bootstrap notes, and per-file
 /// failures surface on stderr.
 fn run_batch_fleet(
     opts: &Options,
@@ -888,14 +890,14 @@ fn run_batch_fleet(
             Err(e) => errors.push(format!("cannot read `{path}`: {e}")),
         }
     }
-    let shard_count = endpoints.len();
     let mut config = FleetConfig::new(endpoints);
     config.cache_cap = opts.cache_cap;
     config.invariants = opts.invariants;
     let mut router = Router::new(config)?;
     eprintln!(
-        "analyzing {} files across {shard_count} shards",
-        payload.len()
+        "analyzing {} files across {} shards",
+        payload.len(),
+        router.shard_count()
     );
     let report = router.analyze(payload)?;
     for note in &report.notes {

@@ -90,9 +90,6 @@ fn fetch_view(endpoint: &str, timeout: Duration) -> Result<View, String> {
         Ok(Response::Members { view } | Response::Gossip { view }) => {
             View::from_json(&view).map_err(|e| format!("{endpoint} answered a malformed view: {e}"))
         }
-        Ok(Response::Error { kind, message }) if kind == "no-cluster" => Err(format!(
-            "{endpoint} runs no membership agent ({message}); start bivd with --peers"
-        )),
         Ok(other) => Err(format!("{endpoint} answered unexpectedly: {other:?}")),
         Err(e) => Err(format!("members request to {endpoint} failed: {e}")),
     }

@@ -28,10 +28,10 @@
 //!
 //! `--fleet shard=K/N` declares this daemon shard `K` of an `N`-shard
 //! fleet (see `biv-fleet`). The daemon itself behaves identically — one
-//! cache, one queue — but it answers `analyze_fleet` requests only when
-//! the router's believed identity matches, redirecting mismatches with
-//! its actual identity, and its `stats` response carries the shard
-//! coordinates so the fleet aggregator can label it.
+//! cache, one queue — but it answers `members` with a view of itself as
+//! shard `K/N`, which is how a router places it on the ring, and its
+//! `stats` response carries the shard coordinates so the fleet
+//! aggregator can label it.
 //!
 //! `--peers` additionally starts the cluster agent: the shard gossips a
 //! versioned membership view with its peers (routers then bootstrap the

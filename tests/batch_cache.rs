@@ -8,7 +8,7 @@
 use std::sync::Arc;
 
 use biv::core_analysis::{
-    analyze_batch, analyze_batch_with_cache, structural_hash, BatchOptions, StructuralCache,
+    analyze_batch, analyze_batch_with_backend, structural_hash, BatchOptions, StructuralCache,
 };
 use biv::ir::parser::parse_program;
 use biv::ir::Function;
@@ -228,8 +228,8 @@ fn cumulative_cache_counters_match_batch_stats() {
     let opts = BatchOptions::default();
     let mut cache = StructuralCache::new(opts.cache_capacity);
 
-    let first = analyze_batch_with_cache(&corpus.funcs, &opts, &mut cache);
-    let second = analyze_batch_with_cache(&corpus.funcs, &opts, &mut cache);
+    let first = analyze_batch_with_backend(&corpus.funcs, &opts, &mut cache);
+    let second = analyze_batch_with_backend(&corpus.funcs, &opts, &mut cache);
 
     // A warm cache serves the entire second batch.
     assert_eq!(second.stats.hits, corpus.funcs.len());
@@ -262,7 +262,7 @@ fn tiny_cache_evicts_and_counts() {
         ..BatchOptions::default()
     };
     let mut cache = StructuralCache::new(opts.cache_capacity);
-    let report = analyze_batch_with_cache(&corpus.funcs, &opts, &mut cache);
+    let report = analyze_batch_with_backend(&corpus.funcs, &opts, &mut cache);
     assert!(cache.len() <= 3, "capacity is enforced");
     assert_eq!(
         report.stats.evictions,

@@ -69,6 +69,7 @@ fn analyze_with_retries(client: &mut Client, attempt_cap: usize) -> String {
             .request(&Request::Analyze {
                 files: files(),
                 cache_cap: None,
+                invariants: false,
             })
             .expect("transport stays usable under injection");
         match response {
@@ -230,7 +231,7 @@ fn sigkilled_shard_mid_batch_reroutes_without_changing_bytes() {
 
     // The router side also runs under the fleet profile, so dials
     // occasionally fail as if shards were dead — every such event must
-    // be absorbed by redirect-to-successor without touching the bytes.
+    // be absorbed by re-routing to a successor without touching the bytes.
     biv_faults::install(42, biv_faults::Profile::Fleet);
     let mut router =
         biv::fleet::Router::new(biv::fleet::FleetConfig::new(endpoints.clone())).expect("router");

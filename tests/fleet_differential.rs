@@ -2,7 +2,9 @@
 //! reached through `bivc --fleet` must print exactly the bytes a
 //! sequential local `bivc --batch` prints — under concurrent clients,
 //! under either network front-end (`--net-threaded` vs the default
-//! epoll loop), and regardless of how the router fans batches out.
+//! epoll loop), whether the endpoints are listed in order, reversed,
+//! or as the first shard alone, and regardless of how the router fans
+//! batches out.
 //! Also: the epoll front-end must keep serving with ≥10k idle
 //! connections parked on it.
 
@@ -86,28 +88,42 @@ fn three_shard_fleet_matches_local_bytes_under_concurrent_clients() {
     let reference = bivc_stdout(&["--batch", &dir_arg]);
 
     let (children, endpoints) = spawn_fleet(3, &[]);
-    for clients in [1usize, 2, 8] {
-        let outputs: Vec<_> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..clients)
-                .map(|_| {
-                    let endpoints = &endpoints;
-                    let dir_arg = &dir_arg;
-                    scope.spawn(move || bivc(&["--fleet", endpoints, dir_arg]))
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        for (i, out) in outputs.iter().enumerate() {
-            assert!(
-                out.status.success(),
-                "fleet client {i}/{clients} failed:\n{}",
-                String::from_utf8_lossy(&out.stderr)
-            );
-            assert_eq!(
-                reference,
-                String::from_utf8_lossy(&out.stdout),
-                "fleet client {i} of {clients} diverged from the local run"
-            );
+    // Each shard's `members` answer places it on the ring, so the list
+    // may come in any order, or name only the first shard: the router
+    // then learns nothing of the other two and routes every file to it.
+    let listed: Vec<&str> = endpoints.split(',').collect();
+    let reversed = listed.iter().rev().copied().collect::<Vec<_>>().join(",");
+    for (ordering, seeds) in [
+        ("in order", endpoints.as_str()),
+        ("reversed", reversed.as_str()),
+        ("first only", listed[0]),
+    ] {
+        for clients in [1usize, 2, 8] {
+            let outputs: Vec<_> = std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..clients)
+                    .map(|_| {
+                        let dir_arg = &dir_arg;
+                        scope.spawn(move || bivc(&["--fleet", seeds, dir_arg]))
+                    })
+                    .collect();
+                handles.into_iter().map(|h| h.join().unwrap()).collect()
+            });
+            for (i, out) in outputs.iter().enumerate() {
+                let stderr = String::from_utf8_lossy(&out.stderr);
+                assert!(
+                    out.status.success(),
+                    "{ordering}: fleet client {i}/{clients} failed:\n{stderr}"
+                );
+                assert!(
+                    stderr.contains("across 3 shards"),
+                    "{ordering}: the shard count comes from the views:\n{stderr}"
+                );
+                assert_eq!(
+                    reference,
+                    String::from_utf8_lossy(&out.stdout),
+                    "{ordering}: fleet client {i} of {clients} diverged from the local run"
+                );
+            }
         }
     }
     drain_fleet(children, &endpoints);

@@ -8,8 +8,9 @@ use std::net::TcpStream;
 use std::sync::atomic::AtomicBool;
 use std::time::Duration;
 
+use biv::fleet::{FleetConfig, Router, View};
 use biv::server::frame::{read_frame, write_frame, MAX_FRAME_BYTES};
-use biv::server::{Client, Endpoint, Request, Response, Server, ServerConfig};
+use biv::server::{AnalyzeFile, Client, Endpoint, Request, Response, Server, ServerConfig};
 
 /// An in-process server on a loopback port; returns the dial address
 /// and the join handle (resolved by a `shutdown` request).
@@ -147,166 +148,155 @@ fn truncated_shard_stats_reply_fails_the_shard_not_the_aggregate() {
     real_handle.join().expect("clean drain");
 }
 
-/// Fleet malformed frames, case 2 — a shard that answers every analyze
-/// with a redirect (so the router's identity repair never converges):
-/// files routed to it must fail individually with a give-up error while
-/// files on the healthy shard are served, and the batch as a whole
-/// completes.
-#[test]
-fn redirect_loop_fails_the_file_not_the_batch() {
-    let (real_endpoint, real_handle) = {
-        // A real shard 0 of a 2-shard fleet.
-        let mut config = ServerConfig::new(Endpoint::Tcp("127.0.0.1:0".into()));
-        config.workers = 1;
-        config.shard_count = 2;
-        let server = Server::bind(config).expect("bind");
-        let endpoint = server.bound_endpoint();
-        let flag: &'static AtomicBool = Box::leak(Box::new(AtomicBool::new(false)));
-        let handle = std::thread::spawn(move || {
-            server.run(flag).expect("server run");
-        });
-        (endpoint, handle)
-    };
-    // The fake claims to be shard 0 forever, whatever it is asked.
-    let (fake_endpoint, stop, fake_handle) = spawn_fake_shard(|_| {
-        framed(&Response::Redirect {
-            shard_id: 0,
-            shard_count: 2,
-            message: "I only ever claim to be shard 0".into(),
-        })
+/// A real `bivd` shard `shard_id/shard_count` with no cluster agent.
+fn spawn_shard(shard_id: u32, shard_count: u32) -> (String, std::thread::JoinHandle<()>) {
+    let mut config = ServerConfig::new(Endpoint::Tcp("127.0.0.1:0".into()));
+    config.workers = 1;
+    config.shard_id = shard_id;
+    config.shard_count = shard_count;
+    let server = Server::bind(config).expect("bind");
+    let endpoint = server.bound_endpoint();
+    let flag: &'static AtomicBool = Box::leak(Box::new(AtomicBool::new(false)));
+    let handle = std::thread::spawn(move || {
+        server.run(flag).expect("server run");
     });
-
-    let files: Vec<biv::server::AnalyzeFile> = (0..12)
-        .map(|i| biv::server::AnalyzeFile {
-            path: format!("mem/{i}.biv"),
-            source: format!("func r{i}(n) {{ L1: for i = 1 to n {{ A[i] = {i} }} }}\n"),
-        })
-        .collect();
-    let mut router = biv::fleet::Router::new(biv::fleet::FleetConfig::new(vec![
-        real_endpoint.clone(),
-        fake_endpoint.clone(),
-    ]))
-    .expect("router");
-    let report = router.analyze(files.clone()).expect("batch completes");
-
-    assert!(
-        !report.errors.is_empty(),
-        "some files must have routed into the redirect loop"
-    );
-    assert!(
-        report.errors.len() < files.len(),
-        "the healthy shard must have served the rest"
-    );
-    for e in &report.errors {
-        assert!(
-            e.message.contains("gave up after"),
-            "expected a give-up error, got: {}",
-            e.message
-        );
-    }
-    assert!(report.redirects > 0);
-    // Served files render normally; the output ends with a stats line.
-    assert!(report.output.ends_with("evictions\n"));
-
-    stop_fake(&fake_endpoint, &stop, fake_handle);
-    let mut client = Client::connect(&Endpoint::parse(&real_endpoint)).expect("connect");
-    client.request(&Request::Shutdown).expect("shutdown");
-    real_handle.join().expect("clean drain");
+    (endpoint, handle)
 }
 
-/// Fleet malformed frames, case 3 — a redirect naming a shard id that
-/// does not exist in the fleet: a protocol error for the affected
-/// files, not a panic and not a batch failure.
-#[test]
-fn out_of_range_redirect_shard_id_fails_the_file_cleanly() {
-    let (real_endpoint, real_handle) = {
-        let mut config = ServerConfig::new(Endpoint::Tcp("127.0.0.1:0".into()));
-        config.workers = 1;
-        config.shard_count = 2;
-        let server = Server::bind(config).expect("bind");
-        let endpoint = server.bound_endpoint();
-        let flag: &'static AtomicBool = Box::leak(Box::new(AtomicBool::new(false)));
-        let handle = std::thread::spawn(move || {
-            server.run(flag).expect("server run");
-        });
-        (endpoint, handle)
-    };
-    let (fake_endpoint, stop, fake_handle) = spawn_fake_shard(|_| {
-        framed(&Response::Redirect {
-            shard_id: 9,
-            shard_count: 2,
-            message: "routing table from another universe".into(),
-        })
-    });
+fn stop_shard(endpoint: &str, handle: std::thread::JoinHandle<()>) {
+    let mut client = Client::connect(&Endpoint::parse(endpoint)).expect("connect");
+    client.request(&Request::Shutdown).expect("shutdown");
+    handle.join().expect("clean drain");
+}
 
-    let files: Vec<biv::server::AnalyzeFile> = (0..12)
-        .map(|i| biv::server::AnalyzeFile {
+/// A fake seed that answers every frame — `members` and analyze alike —
+/// with `view`, so the batch fails loudly if the router ever dials it
+/// for work.
+fn fake_seed(view: View) -> Vec<u8> {
+    framed(&Response::Members {
+        view: view.to_json(),
+    })
+}
+
+/// Runs a fleet batch bootstrapped from `seeds` and checks it is served
+/// whole and byte-identical to a local run; returns the report.
+fn served_batch(seeds: Vec<String>, tag: &str) -> biv::fleet::FleetReport {
+    use biv::core_analysis::{analyze_batch, cold_batch_stats, render_grouped, BatchOptions};
+    let files: Vec<AnalyzeFile> = (0..12)
+        .map(|i| AnalyzeFile {
             path: format!("mem/{i}.biv"),
-            source: format!("func o{i}(n) {{ L1: for i = 1 to n {{ A[i] = {i} }} }}\n"),
+            source: format!("func {tag}{i}(n) {{ L1: for i = 1 to n {{ A[i] = {i} }} }}\n"),
         })
         .collect();
-    let mut router = biv::fleet::Router::new(biv::fleet::FleetConfig::new(vec![
-        real_endpoint.clone(),
-        fake_endpoint.clone(),
-    ]))
-    .expect("router");
-    let report = router.analyze(files.clone()).expect("batch completes");
+    let mut funcs = Vec::new();
+    let mut ranges = Vec::new();
+    for f in &files {
+        let program = biv::ir::parser::parse_program(&f.source).expect("parses");
+        ranges.push((f.path.clone(), program.functions.len()));
+        funcs.extend(program.functions);
+    }
+    let opts = BatchOptions::default();
+    let local = analyze_batch(&funcs, &opts);
+    let hashes: Vec<u64> = local.functions.iter().map(|f| f.hash).collect();
+    let reference = render_grouped(
+        &ranges,
+        &local.functions,
+        &cold_batch_stats(&hashes, opts.cache_capacity),
+    );
 
-    assert!(!report.errors.is_empty(), "some files hit the bad shard");
-    assert!(report.errors.len() < files.len(), "the rest were served");
-    for e in &report.errors {
+    let mut router = Router::new(FleetConfig::new(seeds)).expect("router");
+    assert_eq!(router.shard_count(), 2);
+    let report = router.analyze(files).expect("batch completes");
+    assert!(report.errors.is_empty(), "{:?}", report.errors);
+    assert_eq!(report.output, reference, "fleet bytes must match local");
+    report
+}
+
+/// Fleet malformed frames, case 2 — a seed whose view disagrees on the
+/// fleet size: the first view fixed N, so the seed is skipped with a
+/// note and never dialed for work.
+#[test]
+fn seed_with_a_disagreeing_shard_count_is_skipped_with_a_note() {
+    let (ep0, h0) = spawn_shard(0, 2);
+    let (ep1, h1) = spawn_shard(1, 2);
+    let (fake, stop, fake_handle) =
+        spawn_fake_shard(|_| fake_seed(View::single(0, 3, "tcp:127.0.0.1:1".into())));
+
+    let report = served_batch(vec![ep0.clone(), fake.clone(), ep1.clone()], "d");
+    assert!(
+        report
+            .notes
+            .iter()
+            .any(|n| n.contains(&fake) && n.contains("3 shards, not 2")),
+        "{:?}",
+        report.notes
+    );
+
+    stop_fake(&fake, &stop, fake_handle);
+    stop_shard(&ep0, h0);
+    stop_shard(&ep1, h1);
+}
+
+/// Fleet malformed frames, case 3 — a seed claiming a shard id outside
+/// the ring: the record is skipped with a note, and the shard it left
+/// unfilled is routed around (its keys fail over to shard 0).
+#[test]
+fn out_of_range_member_ids_are_skipped() {
+    let (ep0, h0) = spawn_shard(0, 2);
+    let (fake, stop, fake_handle) =
+        spawn_fake_shard(|_| fake_seed(View::single(9, 2, "tcp:127.0.0.1:1".into())));
+
+    let report = served_batch(vec![ep0.clone(), fake.clone()], "o");
+    for want in ["names shard 9 of 2", "shard 1: no seed"] {
         assert!(
-            e.message.contains("redirect to shard 9 of 2"),
-            "expected an out-of-range protocol error, got: {}",
-            e.message
+            report.notes.iter().any(|n| n.contains(want)),
+            "missing note `{want}`: {:?}",
+            report.notes
         );
     }
 
-    stop_fake(&fake_endpoint, &stop, fake_handle);
-    let mut client = Client::connect(&Endpoint::parse(&real_endpoint)).expect("connect");
-    client.request(&Request::Shutdown).expect("shutdown");
-    real_handle.join().expect("clean drain");
+    stop_fake(&fake, &stop, fake_handle);
+    stop_shard(&ep0, h0);
 }
 
-/// Fleet malformed frames, case 4 — a shard whose analyze reply is a
+/// Fleet malformed frames, case 4 — a second seed claiming a shard id
+/// already recorded: the first record wins, so the impostor is never
+/// dialed for work.
+#[test]
+fn second_claim_to_a_shard_id_loses_to_the_first() {
+    let (ep0, h0) = spawn_shard(0, 2);
+    let (ep1, h1) = spawn_shard(1, 2);
+    let (fake, stop, fake_handle) =
+        spawn_fake_shard(|_| fake_seed(View::single(0, 2, "tcp:127.0.0.1:1".into())));
+
+    let report = served_batch(vec![ep0.clone(), fake.clone(), ep1.clone()], "s");
+    assert!(report.dead_shards.is_empty(), "{:?}", report.dead_shards);
+
+    stop_fake(&fake, &stop, fake_handle);
+    stop_shard(&ep0, h0);
+    stop_shard(&ep1, h1);
+}
+
+/// Fleet malformed frames, case 5 — a shard whose analyze reply is a
 /// truncated frame: the router treats the broken exchange as a shard
 /// death and re-routes to the healthy shard, so every file is still
 /// served and the bytes stay correct.
 #[test]
 fn truncated_analyze_reply_reroutes_to_the_healthy_shard() {
-    let (real_endpoint, real_handle) = {
-        let mut config = ServerConfig::new(Endpoint::Tcp("127.0.0.1:0".into()));
-        config.workers = 1;
-        config.shard_count = 2;
-        let server = Server::bind(config).expect("bind");
-        let endpoint = server.bound_endpoint();
-        let flag: &'static AtomicBool = Box::leak(Box::new(AtomicBool::new(false)));
-        let handle = std::thread::spawn(move || {
-            server.run(flag).expect("server run");
-        });
-        (endpoint, handle)
-    };
-    let (fake_endpoint, stop, fake_handle) = spawn_fake_shard(|_| {
+    let (real_endpoint, real_handle) = spawn_shard(0, 2);
+    // The fake joins the ring as shard 1 through its `members` answer,
+    // then truncates every analyze reply.
+    let (fake_endpoint, stop, fake_handle) = spawn_fake_shard(|payload| {
+        if Request::decode(payload) == Ok(Request::Members) {
+            return fake_seed(View::single(1, 2, "tcp:127.0.0.1:1".into()));
+        }
         let mut out = 1000u32.to_be_bytes().to_vec();
         out.extend_from_slice(b"{\"ok\":true,\"op\":\"analyze_fl");
         out
     });
 
-    let files: Vec<biv::server::AnalyzeFile> = (0..12)
-        .map(|i| biv::server::AnalyzeFile {
-            path: format!("mem/{i}.biv"),
-            source: format!("func t{i}(n) {{ L1: for i = 1 to n {{ A[i] = {i} }} }}\n"),
-        })
-        .collect();
-    let mut router = biv::fleet::Router::new(biv::fleet::FleetConfig::new(vec![
-        real_endpoint.clone(),
-        fake_endpoint.clone(),
-    ]))
-    .expect("router");
-    let report = router.analyze(files.clone()).expect("batch completes");
-
-    assert!(report.errors.is_empty(), "{:?}", report.errors);
-    assert_eq!(report.functions, files.len(), "every file served");
+    let report = served_batch(vec![real_endpoint.clone(), fake_endpoint.clone()], "t");
+    assert_eq!(report.functions, 12, "every file served");
     assert!(
         report.dead_shards.contains(&1),
         "the truncating shard must be marked dead, saw {:?}",
@@ -314,12 +304,10 @@ fn truncated_analyze_reply_reroutes_to_the_healthy_shard() {
     );
 
     stop_fake(&fake_endpoint, &stop, fake_handle);
-    let mut client = Client::connect(&Endpoint::parse(&real_endpoint)).expect("connect");
-    client.request(&Request::Shutdown).expect("shutdown");
-    real_handle.join().expect("clean drain");
+    stop_shard(&real_endpoint, real_handle);
 }
 
-/// Fleet malformed frames, case 5 — truncated and oversized `preload`
+/// Fleet malformed frames, case 6 — truncated and oversized `preload`
 /// and `gossip` frames against a live server: each must end in a
 /// protocol error or a clean close, and the daemon must keep serving.
 #[test]
@@ -385,14 +373,14 @@ fn malformed_preload_and_gossip_frames_never_kill_the_server() {
     handle.join().expect("clean drain");
 }
 
-/// Fleet malformed frames, case 6 — well-formed gossip frames carrying
+/// Fleet malformed frames, case 7 — well-formed gossip frames carrying
 /// garbage member records against a server *with* a membership agent:
 /// the agent must ignore what it cannot parse (including shard ids
 /// outside the ring), answer its own well-formed view, and keep its
 /// membership intact.
 #[test]
 fn garbage_gossip_members_cannot_poison_a_live_agent() {
-    use biv::fleet::{AgentConfig, ClusterAgent, View};
+    use biv::fleet::{AgentConfig, ClusterAgent};
 
     let mut config = ServerConfig::new(Endpoint::Tcp("127.0.0.1:0".into()));
     config.workers = 1;
