@@ -201,25 +201,31 @@ pub fn derive_candidates(ivs: &[IvClosedForm], config: &InvariantConfig) -> Vec<
     let basis = monomial_basis(ivs.len(), config.max_degree);
     let samples = basis.len() + config.extra_samples;
 
-    // Evaluate each basis monomial at each sampled iteration count. The
-    // results are symbolic polynomials over the loop-invariant symbols
-    // appearing in the closed forms; a relation must hold *identically*
-    // in those symbols, so each (sample, symbol-monomial) pair becomes
-    // one linear constraint over the candidate coefficients.
+    // Evaluate each IV's closed form once per sampled iteration count —
+    // every IV a basis monomial uses — then each basis monomial from those
+    // values. The results are symbolic polynomials over the loop-invariant
+    // symbols appearing in the closed forms; a relation must hold
+    // *identically* in those symbols, so each (sample, symbol-monomial)
+    // pair becomes one linear constraint over the candidate coefficients.
+    let mut values: Vec<Vec<SymPoly>> = Vec::with_capacity(ivs.len());
+    for (i, iv) in ivs.iter().enumerate() {
+        if !basis.iter().any(|exps| exps[i] > 0) {
+            values.push(Vec::new());
+            continue;
+        }
+        let Some(at) = (0..samples as i128).map(|h| iv.eval_at(h)).collect() else {
+            return Vec::new(); // overflow: refuse to derive
+        };
+        values.push(at);
+    }
     let mut columns: Vec<Vec<SymPoly>> = Vec::with_capacity(basis.len());
     for exps in &basis {
         let mut column = Vec::with_capacity(samples);
-        for h in 0..samples as i128 {
+        for h in 0..samples {
             let mut acc = SymPoly::constant(Rational::ONE);
-            for (iv, &p) in ivs.iter().zip(exps) {
-                if p == 0 {
-                    continue;
-                }
-                let Some(v) = iv.eval_at(h) else {
-                    return Vec::new(); // overflow: refuse to derive
-                };
+            for (at, &p) in values.iter().zip(exps) {
                 for _ in 0..p {
-                    acc = match acc.checked_mul(&v) {
+                    acc = match acc.checked_mul(&at[h]) {
                         Ok(m) => m,
                         Err(_) => return Vec::new(),
                     };

@@ -51,7 +51,8 @@ fn cfg_and_ssa_interpreters_agree() {
         let ssa = SsaFunction::build(&w.func);
         let ssa_trace = SsaInterpreter::new().run(&ssa, &[5]).expect("SSA runs");
         assert_eq!(
-            cfg_trace.arrays, ssa_trace.arrays,
+            cfg_trace.arrays,
+            ssa_trace.arrays(),
             "array state diverged for seed {seed}\n{}",
             w.source
         );
