@@ -9,13 +9,21 @@ use std::time::Duration;
 use biv_bench::criterion_group;
 use biv_bench::harness::{BenchmarkId, Criterion, Throughput};
 use biv_bench::report::{self, Baseline};
-use biv_core::{analyze_batch, resolve_jobs, BatchOptions};
+use biv_core::{
+    analyze_batch_with_backend, resolve_jobs, BatchOptions, BatchReport, StructuralCache,
+};
+use biv_ir::Function;
 use biv_workload::{generate_corpus, CorpusSpec};
 
 /// No pre-change medians: on shared hardware these rows drift between
 /// sessions by more than a change moves them, so before/after comparisons
 /// come from alternating perfbench runs, not constants recorded earlier.
 const BASELINES: &[Baseline] = &[];
+
+/// One batch against a fresh cache, as a cold `bivc --batch` run does.
+fn cold_batch(funcs: &[Function], opts: &BatchOptions) -> BatchReport {
+    analyze_batch_with_backend(funcs, opts, &mut StructuralCache::new(opts.cache_capacity))
+}
 
 fn timing(group: &mut biv_bench::harness::BenchmarkGroup<'_>) {
     if report::quick_mode() {
@@ -58,7 +66,7 @@ fn bench_batch_scaling(c: &mut Criterion) {
             ..BatchOptions::default()
         };
         group.bench_with_input(BenchmarkId::new("jobs", jobs), &corpus.funcs, |b, funcs| {
-            b.iter(|| analyze_batch(funcs, &opts))
+            b.iter(|| cold_batch(funcs, &opts))
         });
     }
     group.finish();
@@ -95,12 +103,12 @@ fn bench_batch_cache(c: &mut Criterion) {
     group.bench_with_input(
         BenchmarkId::new("distinct", CORPUS_FUNCTIONS),
         &distinct.funcs,
-        |b, funcs| b.iter(|| analyze_batch(funcs, &opts)),
+        |b, funcs| b.iter(|| cold_batch(funcs, &opts)),
     );
     group.bench_with_input(
         BenchmarkId::new("duplicated", CORPUS_FUNCTIONS),
         &duplicated.funcs,
-        |b, funcs| b.iter(|| analyze_batch(funcs, &opts)),
+        |b, funcs| b.iter(|| cold_batch(funcs, &opts)),
     );
     group.finish();
 }

@@ -13,7 +13,10 @@ use biv_algebra::{Rational, SymPoly};
 use biv_bench::criterion_group;
 use biv_bench::harness::{BenchmarkId, Criterion, Throughput};
 use biv_bench::report::{self, Baseline};
-use biv_core::{analyze, analyze_batch, seeded_inputs, BatchOptions, ValidationOptions};
+use biv_core::{
+    analyze, analyze_batch_with_backend, seeded_inputs, BatchOptions, StructuralCache,
+    ValidationOptions,
+};
 use biv_invariant::check::SeedHistories;
 use biv_invariant::{check_candidate, derive_candidates, Candidate, InvariantConfig, IvClosedForm};
 use biv_ssa::{fold_constants, SsaFunction, SsaInterpreter};
@@ -177,7 +180,10 @@ fn bench_batch(c: &mut Criterion) {
         jobs: 1,
         ..BatchOptions::default()
     };
-    let sanity = analyze_batch(&funcs, &opts);
+    let cold_batch = |funcs: &[_]| {
+        analyze_batch_with_backend(funcs, &opts, &mut StructuralCache::new(opts.cache_capacity))
+    };
+    let sanity = cold_batch(&funcs);
     let with_invariants = sanity
         .functions
         .iter()
@@ -191,7 +197,7 @@ fn bench_batch(c: &mut Criterion) {
     group.bench_with_input(
         BenchmarkId::new("batch", CORPUS_FUNCTIONS),
         &funcs,
-        |b, funcs| b.iter(|| analyze_batch(funcs, &opts)),
+        |b, funcs| b.iter(|| cold_batch(funcs)),
     );
     group.finish();
 }

@@ -28,16 +28,16 @@
 //!
 //! Determinism guarantees (pinned by the differential test suite):
 //!
-//! 1. `analyze_batch(funcs, jobs=N)` output equals `jobs=1` output,
-//!    byte for byte, for every `N` — the hit/miss plan is computed
-//!    serially before any thread is spawned.
+//! 1. [`analyze_batch_with_backend`] output for `jobs=N` equals its
+//!    `jobs=1` output, byte for byte, for every `N` — the hit/miss plan
+//!    is computed serially before any thread is spawned.
 //! 2. Cache statistics are scheduling-independent: `misses` is the
 //!    number of distinct structures analyzed, `hits + misses` equals the
 //!    number of functions submitted.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc};
 
 use biv_ir::{EntityId, Function, Inst, Operand, Terminator};
 
@@ -203,25 +203,15 @@ impl FunctionSummary {
     pub fn render_with(&self, show_invariants: bool) -> String {
         let mut out = String::new();
         out.push_str(&format!("func {} [{:016x}]\n", self.name, self.hash));
-        render_summary_body_with(&mut out, &self.summary, show_invariants);
+        render_summary_body(&mut out, &self.summary, show_invariants);
         out
     }
 }
 
-/// Renders a summary's loop blocks, budget lines, and error line — the
-/// part shared between the batch report and the incremental per-nest
-/// report, so both print classifications in the same shape.
-pub(crate) fn render_summary_body(out: &mut String, summary: &StructuralSummary) {
-    render_summary_body_with(out, summary, false);
-}
-
-/// [`render_summary_body`], optionally printing each loop's verified
-/// invariant relations after its class lines.
-pub(crate) fn render_summary_body_with(
-    out: &mut String,
-    summary: &StructuralSummary,
-    show_invariants: bool,
-) {
+/// Renders a summary's error line, loop blocks, and budget lines,
+/// optionally printing each loop's verified invariant relations after
+/// its class lines.
+fn render_summary_body(out: &mut String, summary: &StructuralSummary, show_invariants: bool) {
     use std::fmt::Write as _;
     if let Some(error) = &summary.error {
         let _ = writeln!(out, "  error: internal: {error}");
@@ -375,15 +365,13 @@ impl BatchReport {
     }
 }
 
-/// Analyzes a batch of functions with a fresh cache.
-pub fn analyze_batch(funcs: &[Function], opts: &BatchOptions) -> BatchReport {
-    let mut cache = StructuralCache::new(opts.cache_capacity);
-    analyze_batch_with_backend(funcs, opts, &mut cache)
-}
-
 /// Analyzes a batch of functions against any [`CacheBackend`] — the
-/// in-memory [`StructuralCache`], or a memory+disk write-through tier
-/// such as `biv_store::TieredCache`.
+/// one batch entry point. A fresh run passes
+/// `&mut StructuralCache::new(opts.cache_capacity)`; a durable run a
+/// memory+disk write-through tier such as `biv_store::TieredCache`; and
+/// a server whose workers share one cache passes
+/// [`Locked`](crate::cache::Locked)`(&mutex)`, which takes the lock per
+/// lookup and per commit, never while a function is analyzed.
 ///
 /// The hit/miss plan is computed serially before any worker starts, so
 /// results, summaries, and statistics do not depend on scheduling. Which
@@ -509,22 +497,13 @@ fn assemble_report(
 /// Renders a batch report grouped by input file, exactly as `bivc`
 /// prints it: a `══ path ══` header per file, that file's function
 /// blocks, then the stats line. `ranges` pairs each display path with
-/// its function count; counts must sum to `functions.len()`.
+/// its function count; counts must sum to `functions.len()`. Per-loop
+/// invariant lines are printed when `show_invariants` is set — the
+/// format behind `bivc --invariants`.
 ///
 /// This is the single definition of the batch output format — the
 /// local CLI and the analysis server both render through it, which is
 /// what makes their outputs byte-identical by construction.
-pub fn render_grouped(
-    ranges: &[(String, usize)],
-    functions: &[FunctionSummary],
-    stats: &BatchStats,
-) -> String {
-    render_grouped_with(ranges, functions, stats, false)
-}
-
-/// [`render_grouped`] with per-loop invariant lines when
-/// `show_invariants` is set — the format behind `bivc --invariants`,
-/// local and remote alike.
 pub fn render_grouped_with(
     ranges: &[(String, usize)],
     functions: &[FunctionSummary],
@@ -578,59 +557,6 @@ pub fn cold_batch_stats(hashes: &[u64], capacity: usize) -> BatchStats {
         evictions,
         jobs: 0,
     }
-}
-
-/// Analyzes a batch against a mutex-shared cache, as used by concurrent
-/// servers: the lock is held only for the serial plan phase (lookups)
-/// and the commit phase (insertions), never while a function is being
-/// analyzed, so requests on different worker threads overlap their
-/// actual classification work.
-///
-/// Two racing batches that both miss on the same structure each analyze
-/// it once — wasted work, never wrong output, because summaries are
-/// canonical and insertion is idempotent. Counter invariants are
-/// preserved under contention: every submitted function increments
-/// exactly one of the cache's cumulative `hits`/`misses` counters.
-///
-/// Works over any [`CacheBackend`]; `bivd` runs it on a memory+disk
-/// tier when a durable store is configured, and the lock then also
-/// covers the write-through appends of the commit phase.
-pub fn analyze_batch_shared_backend<B: CacheBackend>(
-    funcs: &[Function],
-    opts: &BatchOptions,
-    cache: &Mutex<B>,
-) -> BatchReport {
-    let hashes: Vec<u64> = funcs.iter().map(structural_hash).collect();
-    let mut stats = BatchStats {
-        functions: funcs.len(),
-        ..BatchStats::default()
-    };
-    let (plans, representatives) = {
-        let mut cache = cache.lock().expect("structural cache poisoned");
-        plan_batch(&hashes, &mut *cache, &mut stats)
-    };
-
-    // Analysis runs with the lock released. Server workers call this
-    // with `jobs: 1` — request-level parallelism comes from the pool.
-    let jobs = resolve_jobs(opts.jobs).min(representatives.len()).max(1);
-    stats.jobs = jobs;
-    let computed = compute_representatives(funcs, &representatives, jobs, &opts.config);
-
-    {
-        // Same commit gate as the unshared path: never retain panicked
-        // or deadline-degraded summaries, and let the injected commit
-        // fault drop retention without affecting the returned report.
-        let mut cache = cache.lock().expect("structural cache poisoned");
-        commit_batch(
-            &hashes,
-            &representatives,
-            &computed,
-            &mut *cache,
-            &mut stats,
-        );
-    }
-
-    assemble_report(plans, funcs, &hashes, &computed, stats)
 }
 
 /// Analyzes the representative functions, sharded over `jobs` workers.
@@ -687,19 +613,7 @@ fn compute_representatives(
 /// Runs behind the panic-isolation boundary: a panicking function
 /// yields an error summary (rendered as an `error:` line) while the
 /// rest of the batch proceeds normally.
-pub(crate) fn summarize(func: &Function, config: &AnalysisConfig) -> StructuralSummary {
-    summarize_filtered(func, config, None)
-}
-
-/// [`summarize`] restricted to the loops whose header lies in `keep`
-/// (`None` keeps every loop) — the incremental driver uses this to pull
-/// one nest's summary out of a sliced function that also carries its
-/// dependency nests.
-pub(crate) fn summarize_filtered(
-    func: &Function,
-    config: &AnalysisConfig,
-    keep: Option<&std::collections::HashSet<biv_ir::Block>>,
-) -> StructuralSummary {
+fn summarize(func: &Function, config: &AnalysisConfig) -> StructuralSummary {
     let analysis = match analyze_protected(func, *config) {
         Ok(analysis) => analysis,
         Err(AnalysisError::Internal { detail }) => {
@@ -714,11 +628,6 @@ pub(crate) fn summarize_filtered(
     let mut invariants = crate::invariants::function_invariants(func, config, &analysis);
     let mut loops = Vec::new();
     for (l, info) in analysis.loops() {
-        if let Some(keep) = keep {
-            if !keep.contains(&analysis.forest().data(l).header) {
-                continue;
-            }
-        }
         // `VecMap` iteration is in value-index order.
         let classes = info
             .classes
@@ -916,7 +825,9 @@ impl Fnv1a {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::Locked;
     use biv_ir::parser::parse_program;
+    use std::sync::Mutex;
 
     fn funcs_of(src: &str) -> Vec<Function> {
         parse_program(src).expect("test source parses").functions
@@ -952,7 +863,9 @@ mod tests {
     #[test]
     fn batch_serves_duplicates_from_cache() {
         let funcs = funcs_of(TWO_LOOPS);
-        let report = analyze_batch(&funcs, &BatchOptions::default());
+        let opts = BatchOptions::default();
+        let mut cache = StructuralCache::new(opts.cache_capacity);
+        let report = analyze_batch_with_backend(&funcs, &opts, &mut cache);
         assert_eq!(report.stats.functions, 3);
         assert_eq!(report.stats.misses, 2); // first/second share; third differs
         assert_eq!(report.stats.hits, 1);
@@ -1005,7 +918,8 @@ mod tests {
                 jobs,
                 ..BatchOptions::default()
             };
-            analyze_batch(&funcs, &opts).render()
+            let mut cache = StructuralCache::new(opts.cache_capacity);
+            analyze_batch_with_backend(&funcs, &opts, &mut cache).render()
         };
         let serial = render_with(1);
         assert_eq!(serial, render_with(2));
@@ -1027,7 +941,8 @@ mod tests {
                 cache_capacity: capacity,
                 ..BatchOptions::default()
             };
-            let fresh = analyze_batch(&funcs, &opts);
+            let fresh =
+                analyze_batch_with_backend(&funcs, &opts, &mut StructuralCache::new(capacity));
             let mut replay = cold_batch_stats(&hashes, capacity);
             replay.jobs = fresh.stats.jobs;
             assert_eq!(replay, fresh.stats, "capacity {capacity}");
@@ -1042,8 +957,8 @@ mod tests {
             ..BatchOptions::default()
         };
         let shared = Mutex::new(StructuralCache::new(16));
-        let first = analyze_batch_shared_backend(&funcs, &opts, &shared);
-        let second = analyze_batch_shared_backend(&funcs, &opts, &shared);
+        let first = analyze_batch_with_backend(&funcs, &opts, &mut Locked(&shared));
+        let second = analyze_batch_with_backend(&funcs, &opts, &mut Locked(&shared));
         let mut exclusive = StructuralCache::new(16);
         let expect_first = analyze_batch_with_backend(&funcs, &opts, &mut exclusive);
         let expect_second = analyze_batch_with_backend(&funcs, &opts, &mut exclusive);
@@ -1068,12 +983,14 @@ mod tests {
         };
         let shared = Mutex::new(StructuralCache::new(64));
         let rounds = 8;
-        let reference = analyze_batch(&funcs, &opts).render();
+        let mut fresh = StructuralCache::new(opts.cache_capacity);
+        let reference = analyze_batch_with_backend(&funcs, &opts, &mut fresh).render();
         std::thread::scope(|scope| {
             for _ in 0..4 {
                 scope.spawn(|| {
                     for _ in 0..rounds {
-                        let report = analyze_batch_shared_backend(&funcs, &opts, &shared);
+                        let report =
+                            analyze_batch_with_backend(&funcs, &opts, &mut Locked(&shared));
                         for (f, name) in report.functions.iter().zip(["first", "second", "third"]) {
                             assert_eq!(f.name, name);
                         }
@@ -1095,8 +1012,9 @@ mod tests {
         drop(cache);
         // A warm follow-up run renders the same per-function blocks as a
         // cold exclusive run; only the stats line differs.
-        let warm = analyze_batch_shared_backend(&funcs, &opts, &shared);
-        let cold = analyze_batch(&funcs, &opts);
+        let warm = analyze_batch_with_backend(&funcs, &opts, &mut Locked(&shared));
+        let mut fresh = StructuralCache::new(opts.cache_capacity);
+        let cold = analyze_batch_with_backend(&funcs, &opts, &mut fresh);
         assert!(reference.contains(&cold.functions[0].render()));
         for (w, c) in warm.functions.iter().zip(&cold.functions) {
             assert_eq!(w.render(), c.render());

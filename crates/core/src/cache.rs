@@ -5,8 +5,9 @@
 //! second tier — a durable content-addressed store that survives
 //! restarts — without the driver knowing which tier answered. This
 //! module defines the seam: [`CacheBackend`] is what the plan and
-//! commit phases of `analyze_batch_*` talk to, and anything that can
-//! answer "have we classified this structure before?" can implement it.
+//! commit phases of `analyze_batch_with_backend` talk to, and anything
+//! that can answer "have we classified this structure before?" can
+//! implement it.
 //!
 //! Two backends exist today:
 //!
@@ -14,6 +15,10 @@
 //!   the pre-trait behavior;
 //! - `biv_store::TieredCache` — memory in front of a durable
 //!   append-only record log, write-through on commit.
+//!
+//! [`Locked`] shares either of them between threads: it implements the
+//! trait over a `&Mutex<B>` by locking once per call, which is how
+//! `bivd`'s workers run their batches against one warm cache.
 //!
 //! # Versioning
 //!
@@ -30,7 +35,7 @@
 //! degrade values to `unknown`), so persistent stores additionally key
 //! on [`analysis_fingerprint`], which folds the budget caps in.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::batch::{StructuralCache, StructuralSummary};
 use crate::budget::Budget;
@@ -91,6 +96,23 @@ pub struct StoreGauges {
     pub corrupt_records_skipped: u64,
 }
 
+/// Point-in-time counters for a backend's memory tier, reported by
+/// `bivd`'s `stats` endpoint and `bivc --stats-json` under the `cache`
+/// key. A snapshot by value, so it can be read through a lock.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct CacheGauges {
+    /// Cumulative cache hits.
+    pub hits: u64,
+    /// Cumulative cache misses.
+    pub misses: u64,
+    /// Cumulative evictions.
+    pub evictions: u64,
+    /// Entries currently retained.
+    pub entries: usize,
+    /// Configured retention bound.
+    pub capacity: usize,
+}
+
 /// What the batch driver's plan and commit phases require of a cache.
 ///
 /// Contract (the differential suites pin all of it):
@@ -119,8 +141,8 @@ pub trait CacheBackend: Send {
     /// memory tier evicted to make room.
     fn commit(&mut self, hash: u64, summary: Arc<StructuralSummary>) -> usize;
 
-    /// The memory tier, for capacity / entry-count gauges.
-    fn memory(&self) -> &StructuralCache;
+    /// The memory tier's cumulative counters and occupancy.
+    fn gauges(&self) -> CacheGauges;
 
     /// Counters for the durable tier, if the backend has one.
     fn store_gauges(&self) -> Option<StoreGauges> {
@@ -147,8 +169,14 @@ impl CacheBackend for StructuralCache {
         self.insert(hash, summary)
     }
 
-    fn memory(&self) -> &StructuralCache {
-        self
+    fn gauges(&self) -> CacheGauges {
+        CacheGauges {
+            hits: self.hits(),
+            misses: self.misses(),
+            evictions: self.evictions(),
+            entries: self.len(),
+            capacity: self.capacity(),
+        }
     }
 }
 
@@ -165,8 +193,8 @@ impl CacheBackend for Box<dyn CacheBackend + Send> {
         (**self).commit(hash, summary)
     }
 
-    fn memory(&self) -> &StructuralCache {
-        (**self).memory()
+    fn gauges(&self) -> CacheGauges {
+        (**self).gauges()
     }
 
     fn store_gauges(&self) -> Option<StoreGauges> {
@@ -175,6 +203,56 @@ impl CacheBackend for Box<dyn CacheBackend + Send> {
 
     fn flush(&mut self) -> std::io::Result<()> {
         (**self).flush()
+    }
+}
+
+/// A [`CacheBackend`] shared between threads: every trait call locks
+/// the mutex for that call alone, so the lock is never held while a
+/// function is analyzed and concurrent batches overlap their analysis.
+///
+/// Two batches may interleave their lookups and commits. Output cannot
+/// change, because summaries are canonical and a commit of a structure
+/// another batch already committed stores the same bytes; and each
+/// submitted function still bumps exactly one of the backend's `hits` /
+/// `misses` counters. Two batches that both miss on one structure each
+/// analyze it — wasted work, never a wrong answer.
+///
+/// A poisoned lock is recovered rather than propagated, so one panicked
+/// holder does not fail every later batch. Analysis never runs under
+/// the lock; the most a half-finished backend call can leave behind is
+/// an off counter or an entry kept past its eviction, never a wrong
+/// summary.
+pub struct Locked<'a, B: ?Sized>(pub &'a Mutex<B>);
+
+impl<B: ?Sized> Locked<'_, B> {
+    fn lock(&self) -> MutexGuard<'_, B> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+impl<B: CacheBackend + ?Sized> CacheBackend for Locked<'_, B> {
+    fn lookup(&mut self, hash: u64) -> Option<Arc<StructuralSummary>> {
+        self.lock().lookup(hash)
+    }
+
+    fn note_duplicate_hit(&mut self) {
+        self.lock().note_duplicate_hit()
+    }
+
+    fn commit(&mut self, hash: u64, summary: Arc<StructuralSummary>) -> usize {
+        self.lock().commit(hash, summary)
+    }
+
+    fn gauges(&self) -> CacheGauges {
+        self.lock().gauges()
+    }
+
+    fn store_gauges(&self) -> Option<StoreGauges> {
+        self.lock().store_gauges()
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.lock().flush()
     }
 }
 
@@ -194,7 +272,7 @@ mod tests {
         assert_eq!(cache.misses(), 1);
         assert!(cache.store_gauges().is_none());
         assert!(cache.flush().is_ok());
-        assert_eq!(cache.memory().capacity(), 2);
+        assert_eq!(cache.gauges().capacity, 2);
     }
 
     #[test]
@@ -204,8 +282,25 @@ mod tests {
         assert!(boxed.lookup(1).is_none());
         boxed.commit(1, summary);
         assert!(boxed.lookup(1).is_some());
-        assert_eq!(boxed.memory().len(), 1);
+        assert_eq!(boxed.gauges().entries, 1);
         assert!(boxed.store_gauges().is_none());
+    }
+
+    #[test]
+    fn locked_backends_forward_each_call() {
+        let shared = Mutex::new(StructuralCache::new(4));
+        let mut locked = Locked(&shared);
+        let summary = Arc::new(StructuralSummary::from_loops(Vec::new()));
+        assert!(locked.lookup(1).is_none());
+        assert_eq!(locked.commit(1, summary), 0);
+        assert!(locked.lookup(1).is_some());
+        locked.note_duplicate_hit();
+        let gauges = locked.gauges();
+        assert_eq!((gauges.hits, gauges.misses, gauges.entries), (2, 1, 1));
+        assert!(locked.store_gauges().is_none());
+        assert!(locked.flush().is_ok());
+        // The lock is released between calls.
+        assert_eq!(shared.lock().unwrap().len(), 1);
     }
 
     #[test]

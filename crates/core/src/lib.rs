@@ -57,7 +57,6 @@ mod config;
 mod display;
 mod driver;
 mod faults;
-pub mod incremental;
 mod invariants;
 mod scc;
 mod symbols;
@@ -65,12 +64,14 @@ mod tripcount;
 pub mod validate;
 
 pub use batch::{
-    analyze_batch, analyze_batch_shared_backend, analyze_batch_with_backend, cold_batch_stats,
-    render_grouped, render_grouped_with, resolve_jobs, structural_hash, BatchOptions, BatchReport,
-    BatchStats, FunctionSummary, LoopSummary, StructuralCache, StructuralSummary,
+    analyze_batch_with_backend, cold_batch_stats, render_grouped_with, resolve_jobs,
+    structural_hash, BatchOptions, BatchReport, BatchStats, FunctionSummary, LoopSummary,
+    StructuralCache, StructuralSummary,
 };
 pub use budget::{Budget, BudgetBreach, BudgetMeter};
-pub use cache::{analysis_fingerprint, CacheBackend, StoreGauges, FORMAT_VERSION};
+pub use cache::{
+    analysis_fingerprint, CacheBackend, CacheGauges, Locked, StoreGauges, FORMAT_VERSION,
+};
 pub use class::{Class, ClosedForm, Direction, FamilyAnchor, Monotonic, Periodic};
 pub use classify::{
     class_of_sympoly, classify_loop, classify_loop_metered, combine_classes, negate_class,
@@ -80,10 +81,6 @@ pub use config::AnalysisConfig;
 pub use display::{
     canonical_value_name, describe_class, describe_class_with, describe_closed_form,
     describe_closed_form_with, ValueNamer,
-};
-pub use incremental::{
-    analyze_incremental, analyze_incremental_with_regions, perturb_nest_constant, FunctionSlice,
-    IncrementalReport, IncrementalState, IncrementalStats, NestOutcome, NestRegion, RegionMap,
 };
 
 pub use driver::{

@@ -4,8 +4,8 @@
 //! structural cache.
 
 use biv_core::{
-    analyze_batch, analyze_protected, analyze_source, analyze_with, AnalysisConfig, BatchOptions,
-    Budget, BudgetBreach, Class, TripCount,
+    analyze_batch_with_backend, analyze_protected, analyze_source, analyze_with, AnalysisConfig,
+    BatchOptions, Budget, BudgetBreach, Class, StructuralCache, TripCount,
 };
 use biv_ir::parser::parse_program;
 
@@ -170,7 +170,8 @@ fn budget_breaches_render_in_batch_summaries() {
         }),
         ..BatchOptions::default()
     };
-    let report = analyze_batch(&program.functions, &opts);
+    let mut cache = StructuralCache::new(opts.cache_capacity);
+    let report = analyze_batch_with_backend(&program.functions, &opts, &mut cache);
     let rendered = report.functions[0].render();
     assert!(
         rendered.contains("budget: polynomial order 2 (limit 1)"),

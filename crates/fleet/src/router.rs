@@ -346,7 +346,7 @@ impl Router {
 
         // Reassemble in input order: blocks from OK files, hashes in
         // render order, then the cold stats line over the whole batch —
-        // exactly what `render_grouped` prints locally.
+        // exactly what `render_grouped_with` prints locally.
         let mut output = String::new();
         let mut hashes: Vec<u64> = Vec::new();
         let mut errors: Vec<FileError> = Vec::new();
@@ -624,7 +624,9 @@ mod tests {
     }
 
     fn local_output_with(files: &[AnalyzeFile], cap: usize, invariants: bool) -> String {
-        use biv_core::{analyze_batch, render_grouped_with, BatchOptions};
+        use biv_core::{
+            analyze_batch_with_backend, render_grouped_with, BatchOptions, StructuralCache,
+        };
         let mut funcs = Vec::new();
         let mut ranges = Vec::new();
         for f in files {
@@ -636,7 +638,7 @@ mod tests {
             cache_capacity: cap,
             ..BatchOptions::default()
         };
-        let report = analyze_batch(&funcs, &opts);
+        let report = analyze_batch_with_backend(&funcs, &opts, &mut StructuralCache::new(cap));
         let hashes: Vec<u64> = report.functions.iter().map(|f| f.hash).collect();
         let cold = cold_batch_stats(&hashes, cap);
         render_grouped_with(&ranges, &report.functions, &cold, invariants)

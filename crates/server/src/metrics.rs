@@ -13,7 +13,7 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use biv_bench::latency::{LatencySnapshot, LatencyWindow};
-use biv_core::StoreGauges;
+use biv_core::{CacheGauges, StoreGauges};
 
 use crate::json::Json;
 
@@ -193,16 +193,7 @@ impl Metrics {
                     ("capacity", Json::Int(queue_capacity as i64)),
                 ]),
             ),
-            (
-                "cache",
-                Json::obj(vec![
-                    ("hits", Json::Int(cache.hits as i64)),
-                    ("misses", Json::Int(cache.misses as i64)),
-                    ("evictions", Json::Int(cache.evictions as i64)),
-                    ("entries", Json::Int(cache.entries as i64)),
-                    ("capacity", Json::Int(cache.capacity as i64)),
-                ]),
-            ),
+            ("cache", cache_json(&cache)),
             ("workers", Json::Int(workers as i64)),
             (
                 "latency",
@@ -245,6 +236,19 @@ impl ShardInfo {
     }
 }
 
+/// Renders memory-tier gauges as the `cache` stats object; shared by
+/// the daemon's `stats` endpoint and `bivc --stats-json` so dashboards
+/// see one schema.
+pub fn cache_json(c: &CacheGauges) -> Json {
+    Json::obj(vec![
+        ("hits", Json::Int(c.hits as i64)),
+        ("misses", Json::Int(c.misses as i64)),
+        ("evictions", Json::Int(c.evictions as i64)),
+        ("entries", Json::Int(c.entries as i64)),
+        ("capacity", Json::Int(c.capacity as i64)),
+    ])
+}
+
 /// Renders durable-store gauges as the `store` stats object; shared by
 /// the daemon's `stats` endpoint and `bivc --stats-json` so dashboards
 /// see one schema.
@@ -260,21 +264,6 @@ pub fn store_json(s: &StoreGauges) -> Json {
             Json::Int(s.corrupt_records_skipped as i64),
         ),
     ])
-}
-
-/// Point-in-time structural-cache counters for the stats payload.
-#[derive(Debug, Clone, Copy)]
-pub struct CacheGauges {
-    /// Cumulative cache hits.
-    pub hits: u64,
-    /// Cumulative cache misses.
-    pub misses: u64,
-    /// Cumulative evictions.
-    pub evictions: u64,
-    /// Entries currently retained.
-    pub entries: usize,
-    /// Configured retention bound.
-    pub capacity: usize,
 }
 
 fn latency_json(s: LatencySnapshot) -> Json {

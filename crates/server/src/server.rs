@@ -42,8 +42,8 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use biv_core::{
-    analyze_batch_shared_backend, cold_batch_stats, render_grouped_with, resolve_jobs,
-    AnalysisConfig, BatchOptions, Budget, CacheBackend, StructuralCache,
+    analyze_batch_with_backend, cold_batch_stats, render_grouped_with, resolve_jobs,
+    AnalysisConfig, BatchOptions, Budget, CacheBackend, Locked, StructuralCache,
 };
 use biv_ir::parser::parse_program;
 use biv_ir::Function;
@@ -51,7 +51,7 @@ use biv_store::{Store, StoreOptions, TieredCache};
 
 use crate::cluster::{ClusterHandle, View};
 use crate::frame::{write_frame, MAX_FRAME_BYTES};
-use crate::metrics::{CacheGauges, Metrics, PhaseSample, ShardInfo};
+use crate::metrics::{Metrics, PhaseSample, ShardInfo};
 use crate::net::{Conn, Endpoint, Listener};
 use crate::pool::{JobQueue, PushError};
 use crate::proto::{AnalyzeFile, FileError, FleetFile, ReplicaEntry, Request, Response};
@@ -448,8 +448,10 @@ pub(crate) fn worker_loop(shared: &Shared<'_>) {
         crate::faults::maybe_panic("worker.die");
         // UnwindSafe audit: the closure borrows `shared` (atomics and
         // mutexes — both poison-or-recover on unwind; the structural
-        // cache mutex is only held inside `analyze_batch_shared_backend`, which
-        // releases it between functions) and `job`/`opts` by shared
+        // cache mutex is only held by `Locked` for one lookup, duplicate
+        // hit, or commit at a time, never while a function is analyzed,
+        // so concurrent batches interleave those calls and a panic in
+        // analysis cannot poison it) and `job`/`opts` by shared
         // reference without interior mutation. Core thread-local
         // scratch is reset by `analyze_protected`'s own catch before
         // the panic ever reaches this boundary.
@@ -566,7 +568,7 @@ fn process_analyze(
     let parse = t.elapsed();
 
     let t = Instant::now();
-    let report = analyze_batch_shared_backend(&funcs, opts, &shared.cache);
+    let report = analyze_batch_with_backend(&funcs, opts, &mut Locked(&shared.cache));
     let analyze = t.elapsed();
 
     // Replica write-through: hand each file's committed summaries to
@@ -979,14 +981,7 @@ fn retry_hint_ms(shared: &Shared<'_>) -> u64 {
 /// Builds the live `stats` payload.
 fn stats_json(shared: &Shared<'_>) -> crate::json::Json {
     let backend = shared.cache.lock().expect("structural cache poisoned");
-    let mem = backend.memory();
-    let gauges = CacheGauges {
-        hits: mem.hits(),
-        misses: mem.misses(),
-        evictions: mem.evictions(),
-        entries: mem.len(),
-        capacity: mem.capacity(),
-    };
+    let gauges = backend.gauges();
     let store = backend.store_gauges();
     drop(backend);
     let mut stats = shared.metrics.snapshot_json(

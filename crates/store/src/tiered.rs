@@ -14,7 +14,7 @@
 use std::path::Path;
 use std::sync::Arc;
 
-use biv_core::{CacheBackend, StoreGauges, StructuralCache, StructuralSummary};
+use biv_core::{CacheBackend, CacheGauges, StoreGauges, StructuralCache, StructuralSummary};
 
 use crate::store::{Store, StoreOptions};
 
@@ -89,8 +89,8 @@ impl CacheBackend for TieredCache {
         evicted
     }
 
-    fn memory(&self) -> &StructuralCache {
-        &self.mem
+    fn gauges(&self) -> CacheGauges {
+        self.mem.gauges()
     }
 
     fn store_gauges(&self) -> Option<StoreGauges> {
@@ -149,9 +149,9 @@ mod tests {
         assert_eq!(tiered.store_gauges().expect("gauges").disk_hits, 1);
         // One miss on a hash neither tier has.
         assert!(tiered.lookup(99).is_none());
-        let mem = tiered.memory();
-        assert_eq!(mem.hits() + mem.misses(), 3, "one count per lookup");
-        assert_eq!(mem.hits(), 2);
+        let mem = tiered.gauges();
+        assert_eq!(mem.hits + mem.misses, 3, "one count per lookup");
+        assert_eq!(mem.hits, 2);
         assert_eq!(tiered.store_gauges().expect("gauges").disk_misses, 1);
         fs::remove_dir_all(&dir).ok();
     }

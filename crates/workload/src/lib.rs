@@ -706,9 +706,11 @@ mod tests {
 
         // Every planted pair's summary must carry *exactly* the planted
         // relation, rendered over the pair's canonical φ names.
-        let report = biv_core::analyze_batch(
+        let opts = biv_core::BatchOptions::default();
+        let report = biv_core::analyze_batch_with_backend(
             std::slice::from_ref(&w.func),
-            &biv_core::BatchOptions::default(),
+            &opts,
+            &mut biv_core::StructuralCache::new(opts.cache_capacity),
         );
         let summary = &report.functions[0].summary;
         for plant in &w.invariant_plants {

@@ -8,11 +8,17 @@
 use std::sync::Arc;
 
 use biv::core_analysis::{
-    analyze_batch, analyze_batch_with_backend, structural_hash, BatchOptions, StructuralCache,
+    analyze_batch_with_backend, structural_hash, BatchOptions, BatchReport, StructuralCache,
 };
 use biv::ir::parser::parse_program;
 use biv::ir::Function;
 use biv::workload::{generate_corpus, CorpusSpec};
+
+/// One batch against a fresh default-capacity cache.
+fn cold_batch(funcs: &[Function]) -> BatchReport {
+    let opts = BatchOptions::default();
+    analyze_batch_with_backend(funcs, &opts, &mut StructuralCache::new(opts.cache_capacity))
+}
 
 fn parse_one(source: &str) -> Function {
     let mut program = parse_program(source).expect("test source parses");
@@ -79,7 +85,7 @@ fn alpha_renamed_twin_hits_cache_with_equal_classification() {
         "α-renaming must not change the structural hash"
     );
 
-    let report = analyze_batch(&[orig, twin], &BatchOptions::default());
+    let report = cold_batch(&[orig, twin]);
     let (a, b) = (&report.functions[0], &report.functions[1]);
     assert!(!a.cached, "first occurrence is analyzed");
     assert!(b.cached, "structural twin is served from the cache");
@@ -120,7 +126,7 @@ fn alpha_renamed_workload_corpora_hit_cache() {
         let mut funcs = corpus.funcs;
         let originals = funcs.len();
         funcs.extend(renamed);
-        let report = analyze_batch(&funcs, &BatchOptions::default());
+        let report = cold_batch(&funcs);
         assert_eq!(
             report.stats.misses, originals,
             "each structure analyzed once"
@@ -179,7 +185,7 @@ fn single_instruction_mutations_miss() {
         .chain(variants.iter().map(|(_, s)| s.to_string()))
         .map(|s| parse_one(&s))
         .collect();
-    let report = analyze_batch(&funcs, &BatchOptions::default());
+    let report = cold_batch(&funcs);
     assert_eq!(report.stats.misses, funcs.len());
     assert_eq!(report.stats.hits, 0);
     assert!(report.functions.iter().all(|f| !f.cached));
@@ -195,7 +201,7 @@ fn stats_counters_add_up() {
             trip: 30,
             seed,
         });
-        let report = analyze_batch(&corpus.funcs, &BatchOptions::default());
+        let report = cold_batch(&corpus.funcs);
         let stats = report.stats;
         assert_eq!(
             stats.hits + stats.misses,

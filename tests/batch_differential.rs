@@ -1,12 +1,12 @@
 //! Parallel-vs-serial differential suite for the batch driver.
 //!
 //! The batch subsystem promises that scheduling never leaks into its
-//! output: `analyze_batch` with any worker count produces byte-identical
-//! per-function summaries and byte-identical statistics. These tests pin
-//! that promise for every program in a hand-written test corpus and for
-//! randomized `biv-workload` corpora.
+//! output: `analyze_batch_with_backend` with any worker count produces
+//! byte-identical per-function summaries and byte-identical statistics.
+//! These tests pin that promise for every program in a hand-written
+//! test corpus and for randomized `biv-workload` corpora.
 
-use biv::core_analysis::{analyze_batch, BatchOptions, BatchReport};
+use biv::core_analysis::{analyze_batch_with_backend, BatchOptions, BatchReport, StructuralCache};
 use biv::ir::parser::parse_program;
 use biv::ir::Function;
 use biv::workload::{generate_corpus, CorpusSpec};
@@ -119,7 +119,8 @@ fn run(funcs: &[Function], jobs: usize) -> String {
         jobs,
         ..BatchOptions::default()
     };
-    render_report(&analyze_batch(funcs, &opts))
+    let mut cache = StructuralCache::new(opts.cache_capacity);
+    render_report(&analyze_batch_with_backend(funcs, &opts, &mut cache))
 }
 
 /// Asserts that all job counts agree on `funcs`, returning the (shared)

@@ -204,7 +204,10 @@ fn fleet_corpus(n: usize) -> Vec<biv::server::AnalyzeFile> {
 /// What a local `bivc` batch run prints for `files` — the bytes the
 /// fleet must reproduce regardless of faults and shard deaths.
 fn local_reference(files: &[biv::server::AnalyzeFile]) -> String {
-    use biv::core_analysis::{analyze_batch, cold_batch_stats, render_grouped, BatchOptions};
+    use biv::core_analysis::{
+        analyze_batch_with_backend, cold_batch_stats, render_grouped_with, BatchOptions,
+        StructuralCache,
+    };
     let mut funcs = Vec::new();
     let mut ranges = Vec::new();
     for f in files {
@@ -213,10 +216,11 @@ fn local_reference(files: &[biv::server::AnalyzeFile]) -> String {
         funcs.extend(program.functions);
     }
     let opts = BatchOptions::default();
-    let report = analyze_batch(&funcs, &opts);
+    let mut cache = StructuralCache::new(opts.cache_capacity);
+    let report = analyze_batch_with_backend(&funcs, &opts, &mut cache);
     let hashes: Vec<u64> = report.functions.iter().map(|f| f.hash).collect();
     let cold = cold_batch_stats(&hashes, opts.cache_capacity);
-    render_grouped(&ranges, &report.functions, &cold)
+    render_grouped_with(&ranges, &report.functions, &cold, false)
 }
 
 #[test]

@@ -181,7 +181,10 @@ fn fake_seed(view: View) -> Vec<u8> {
 /// Runs a fleet batch bootstrapped from `seeds` and checks it is served
 /// whole and byte-identical to a local run; returns the report.
 fn served_batch(seeds: Vec<String>, tag: &str) -> biv::fleet::FleetReport {
-    use biv::core_analysis::{analyze_batch, cold_batch_stats, render_grouped, BatchOptions};
+    use biv::core_analysis::{
+        analyze_batch_with_backend, cold_batch_stats, render_grouped_with, BatchOptions,
+        StructuralCache,
+    };
     let files: Vec<AnalyzeFile> = (0..12)
         .map(|i| AnalyzeFile {
             path: format!("mem/{i}.biv"),
@@ -196,12 +199,14 @@ fn served_batch(seeds: Vec<String>, tag: &str) -> biv::fleet::FleetReport {
         funcs.extend(program.functions);
     }
     let opts = BatchOptions::default();
-    let local = analyze_batch(&funcs, &opts);
+    let mut cache = StructuralCache::new(opts.cache_capacity);
+    let local = analyze_batch_with_backend(&funcs, &opts, &mut cache);
     let hashes: Vec<u64> = local.functions.iter().map(|f| f.hash).collect();
-    let reference = render_grouped(
+    let reference = render_grouped_with(
         &ranges,
         &local.functions,
         &cold_batch_stats(&hashes, opts.cache_capacity),
+        false,
     );
 
     let mut router = Router::new(FleetConfig::new(seeds)).expect("router");

@@ -1,7 +1,7 @@
 //! End-to-end tests of the `bivd` daemon through its real binaries:
 //! round-trips over a Unix socket, remote/local byte identity, per-file
-//! error propagation, cache-capacity replay, and graceful SIGTERM
-//! shutdown.
+//! error propagation, cache-capacity replay, a stats line that deadline
+//! breaches cannot change, and graceful SIGTERM shutdown.
 
 #![cfg(unix)]
 
@@ -88,6 +88,38 @@ fn cache_cap_is_replayed_in_remote_stats_line() {
     }
     daemon.shutdown();
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A deadline-breached summary is never committed, so the real eviction
+/// count of a run falls below a cold replay's. The stats line is the
+/// cold replay on every path — local, `--cache-dir`, and `--remote` —
+/// so all three print the line an unbudgeted run prints. The function
+/// blocks themselves are not compared: a deadline breach lands at a
+/// nondeterministic point.
+#[test]
+fn deadline_breaches_do_not_change_the_stats_line() {
+    fn stats_line(stdout: &str) -> String {
+        stdout.lines().last().unwrap_or_default().to_string()
+    }
+    let store = scratch_dir("server-deadline-store");
+    let store_arg = store.display().to_string();
+    let budgeted = ["--budget", "time=0", "--cache-cap", "1"];
+    let run = |extra: &[&str]| {
+        let mut args = budgeted.to_vec();
+        args.extend_from_slice(extra);
+        args.push("tests/golden");
+        stats_line(&bivc_stdout(&args))
+    };
+
+    let unbudgeted = stats_line(&bivc_stdout(&["--cache-cap", "1", "tests/golden"]));
+    assert!(unbudgeted.starts_with("batch: "), "{unbudgeted}");
+    assert_eq!(run(&["--batch"]), unbudgeted, "local --batch");
+    assert_eq!(run(&["--cache-dir", &store_arg]), unbudgeted, "--cache-dir");
+    let daemon = Daemon::spawn("deadline", &["--workers", "1", "--budget", "time=0"]);
+    let remote = run(&["--remote", &daemon.remote_arg()]);
+    assert_eq!(remote, unbudgeted, "--remote");
+    daemon.shutdown();
+    std::fs::remove_dir_all(&store).ok();
 }
 
 #[test]
