@@ -1,7 +1,8 @@
 //! Invariant-engine benchmark: what the `--invariants` path costs on top
-//! of classification. Four figures go to `BENCH_invariant.json`:
-//! the exact null-space derivation over the canonical running-sum IV
-//! pair, the interpreter-trace checking predicate over realistic
+//! of classification. Five figures go to `BENCH_invariant.json`:
+//! the exact coefficient-matching derivation over the canonical
+//! running-sum IV pair and over a four-IV loop of the served mix, the
+//! interpreter-trace checking predicate over realistic
 //! histories, the checking traces of a large function (interpreter runs
 //! plus per-φ history extraction), and the end-to-end batch analysis of
 //! an invariant-bearing corpus (derivation + machine-checking included,
@@ -9,7 +10,7 @@
 
 use std::time::Duration;
 
-use biv_algebra::{Rational, SymPoly};
+use biv_algebra::{Rational, SymId, SymPoly};
 use biv_bench::criterion_group;
 use biv_bench::harness::{BenchmarkId, Criterion, Throughput};
 use biv_bench::report::{self, Baseline};
@@ -72,18 +73,47 @@ fn running_sum_ivs() -> Vec<IvClosedForm> {
     ]
 }
 
-/// Derivation alone: basis construction, exact evaluation matrix, and
-/// rational null-space solve for the degree-2 basis over two IVs.
+/// The shape of a `batch_mixed` invariant loop: the running-sum pair,
+/// a mixed-geometric `5·2^h − 1`, and a linear IV starting at a
+/// parameter `n` — four IVs, a 15-column degree-2 basis.
+fn four_ivs() -> Vec<IvClosedForm> {
+    let mut ivs = running_sum_ivs();
+    ivs.push(IvClosedForm {
+        name: "v".into(),
+        coeffs: vec![SymPoly::constant(Rational::from_integer(-1))],
+        geo: vec![(
+            Rational::from_integer(2),
+            SymPoly::constant(Rational::from_integer(5)),
+        )],
+    });
+    ivs.push(IvClosedForm {
+        name: "j".into(),
+        coeffs: vec![
+            SymPoly::symbol(SymId(0)),
+            SymPoly::constant(Rational::from_integer(3)),
+        ],
+        geo: Vec::new(),
+    });
+    ivs
+}
+
+/// Derivation alone: basis construction, the exact coefficient-matching
+/// system, and the rational null-space solve for the degree-2 basis
+/// over two and over four IVs.
 fn bench_derive(c: &mut Criterion) {
-    let ivs = running_sum_ivs();
     let config = InvariantConfig::default();
-    let sanity = derive_candidates(&ivs, &config);
-    assert!(!sanity.is_empty(), "running-sum pair must yield relations");
     let mut group = c.benchmark_group("invariant");
     timing(&mut group);
-    group.bench_with_input(BenchmarkId::new("derive", "2iv"), &ivs, |b, ivs| {
-        b.iter(|| derive_candidates(ivs, &config))
-    });
+    for (id, ivs) in [("2iv", running_sum_ivs()), ("4iv", four_ivs())] {
+        let sanity = derive_candidates(&ivs, &config);
+        assert!(
+            !sanity.is_empty(),
+            "{id}: the running-sum pair must yield relations"
+        );
+        group.bench_with_input(BenchmarkId::new("derive", id), &ivs, |b, ivs| {
+            b.iter(|| derive_candidates(ivs, &config))
+        });
+    }
     group.finish();
 }
 

@@ -49,8 +49,11 @@ use crate::budget::Budget;
 /// History: 1 — original summary format; 2 — mixed-geometric
 /// classification plus per-loop verified invariants in every summary;
 /// 3 — loops with more than `max_ivs` IVs keep the relations verified
-/// over their first `max_ivs` (earlier versions dropped them all).
-pub const FORMAT_VERSION: u32 = 3;
+/// over their first `max_ivs` (earlier versions dropped them all);
+/// 4 — invariants are derived by coefficient matching, which never
+/// raises a geometric base to a power, so loops whose sampled powers
+/// overflowed (e.g. `1000^h`) now carry relations.
+pub const FORMAT_VERSION: u32 = 4;
 
 /// The configuration fingerprint a persistent store is keyed on,
 /// alongside [`FORMAT_VERSION`].

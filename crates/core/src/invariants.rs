@@ -28,7 +28,7 @@ use crate::validate::{seeded_inputs, ValidationOptions};
 
 /// Seeds used for machine-checking. Few and shallow on purpose: the
 /// derivation is exact over symbolic inits, so checking guards against
-/// engine bugs and sampling artifacts, not against rare inputs.
+/// engine bugs and wrong closed forms, not against rare inputs.
 const CHECK_INPUTS: usize = 4;
 
 /// Step budget per checking run — invariant checking must never dominate

@@ -1,6 +1,6 @@
 //! Machine-checking of candidate invariants against concrete traces.
 //!
-//! Derivation samples the *closed forms*; checking replays the *program*.
+//! Derivation works from the *closed forms*; checking replays the *program*.
 //! The SSA interpreter (biv-ssa) executes the original function on seeded
 //! inputs and records the per-iteration history of every loop-header φ —
 //! the candidate must vanish at every observed iteration of every seed.
@@ -36,7 +36,7 @@ pub fn check_candidate(cand: &Candidate, seeds: &[SeedHistories], min_iterations
         };
         let len = histories.iter().map(Vec::len).min().unwrap_or(0);
         for h in 0..len {
-            match eval_at(cand, histories, h) {
+            match value_at(cand, histories, h) {
                 Some(0) => checked += 1,
                 Some(_) => return false,
                 None => {} // overflow: skip this iteration
@@ -47,7 +47,7 @@ pub fn check_candidate(cand: &Candidate, seeds: &[SeedHistories], min_iterations
 }
 
 /// Evaluates the candidate at iteration `h`; `None` on i128 overflow.
-fn eval_at(cand: &Candidate, histories: &[Vec<i64>], h: usize) -> Option<i128> {
+fn value_at(cand: &Candidate, histories: &[Vec<i64>], h: usize) -> Option<i128> {
     let mut acc: i128 = 0;
     for (coeff, exps) in cand.coeffs.iter().zip(&cand.exps) {
         if *coeff == 0 {

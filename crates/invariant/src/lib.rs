@@ -2,27 +2,35 @@
 //!
 //! The classifier (biv-core) already computes, per loop, the closed form
 //! of every induction variable as a function of the normalized counter
-//! `h = 0, 1, 2, …`. Any polynomial relation between those IVs that holds
-//! on every iteration — `2s − i² + i = 0` for the running sum `s` of a
-//! linear index `i`, say — is a *loop invariant* in the verification
-//! sense. Following de Oliveira et al.'s "Polynomial invariants by linear
-//! algebra", such relations are exactly the null space of an evaluation
-//! matrix: build the monomial basis over the IVs up to a degree bound,
-//! evaluate each basis monomial at sampled iteration counts via the
-//! closed forms (exact rational/symbolic arithmetic, no floats), and
-//! solve `A·c = 0` by exact Gaussian elimination.
+//! `h = 0, 1, 2, …`: an exponential polynomial `Σ c_k·h^k + Σ g_j·r_j^h`
+//! whose coefficients are polynomials over loop-invariant symbols. Any
+//! polynomial relation between those IVs that holds on every iteration —
+//! `2s − i² + i = 0` for the running sum `s` of a linear index `i`, say —
+//! is a *loop invariant* in the verification sense.
 //!
-//! Sampling makes derivation *complete enough* in practice but not sound
-//! by itself (finitely many samples, geometric terms), so this crate
-//! splits the pipeline in two: [`derive_candidates`] proposes relations
-//! and [`check_candidate`] verifies each one against concrete
-//! per-iteration traces from the SSA interpreter. Callers must only emit
-//! candidates that pass the check — a failed check kills the candidate,
-//! never the batch.
+//! Following de Oliveira et al.'s "Polynomial invariants by linear
+//! algebra", [`derive_candidates`] finds such relations by coefficient
+//! matching. It builds the monomial basis over the IVs up to a degree
+//! bound and expands each basis monomial exactly into terms
+//! `h^a · r^h · m` (`m` a monomial over the symbols). Distinct terms are
+//! linearly independent functions of `h ≥ 0`, so a combination of basis
+//! monomials vanishes on every iteration, for every value of the symbols,
+//! exactly when the coefficient of each distinct term does. That is one
+//! linear equation per term, solved by exact rational Gaussian
+//! elimination: no sample points and no floats. The derived relations
+//! follow from the closed forms.
+//!
+//! The closed forms are the classifier's claim, though, and the checker
+//! must not trust them. So the pipeline stays split in two:
+//! [`derive_candidates`] proposes relations and [`check_candidate`]
+//! verifies each one against concrete per-iteration traces from the SSA
+//! interpreter. Callers must only emit candidates that pass the check — a
+//! failed check kills the candidate, never the batch.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
-use biv_algebra::{Matrix, Rational, SymPoly};
+use biv_algebra::{Matrix, Monomial, Rational, RationalError, SymPoly};
 
 pub mod check;
 
@@ -44,22 +52,119 @@ pub struct IvClosedForm {
     pub geo: Vec<(Rational, SymPoly)>,
 }
 
-impl IvClosedForm {
-    /// Evaluates the closed form at a concrete iteration count.
-    fn eval_at(&self, h: i128) -> Option<SymPoly> {
-        let mut acc = SymPoly::zero();
-        let mut power = Rational::ONE;
-        let hr = Rational::from_integer(h);
-        for c in &self.coeffs {
-            acc = acc.checked_add(&c.checked_scale(&power).ok()?).ok()?;
-            power = power.checked_mul(&hr).ok()?;
-        }
-        for (base, coeff) in &self.geo {
-            let p = base.checked_pow(i32::try_from(h).ok()?).ok()?;
-            acc = acc.checked_add(&coeff.checked_scale(&p).ok()?).ok()?;
-        }
-        Some(acc)
+/// One term `coeff · h^power · base^h · mono` of an expanded closed form.
+#[derive(Clone)]
+struct Term {
+    power: u32,
+    base: Rational,
+    mono: Monomial,
+    coeff: Rational,
+}
+
+/// The row a term's coefficient lands in: the counter power, the base as
+/// its reduced `(numerator, denominator)` pair, and the symbol monomial.
+/// The base is keyed by its exact parts because `Rational`'s `Ord` falls
+/// back to an `f64` compare on overflow and could merge distinct bases.
+type TermKey = (u32, (i128, i128), Monomial);
+
+impl Term {
+    fn key(&self) -> TermKey {
+        (
+            self.power,
+            (self.base.numerator(), self.base.denominator()),
+            self.mono.clone(),
+        )
     }
+
+    /// The product term, or `None` when it is `h^a·0^h` with `a ≥ 1`,
+    /// which is zero at every `h ≥ 0`.
+    fn times(&self, other: &Term) -> Result<Option<Term>, RationalError> {
+        let power = self.power + other.power;
+        let base = self.base.checked_mul(&other.base)?;
+        if base.is_zero() && power > 0 {
+            return Ok(None);
+        }
+        Ok(Some(Term {
+            power,
+            base,
+            mono: self.mono.mul(&other.mono),
+            coeff: self.coeff.checked_mul(&other.coeff)?,
+        }))
+    }
+}
+
+/// Expands a closed form into its terms. A polynomial coefficient
+/// `c_k` contributes `h^k·1^h` terms, so a geometric term with base 1
+/// lands in the same row as the constant term. Terms may repeat a key;
+/// the coefficient matrix sums them.
+fn expand(iv: &IvClosedForm) -> Vec<Term> {
+    let poly = iv
+        .coeffs
+        .iter()
+        .enumerate()
+        .map(|(k, c)| (k as u32, Rational::ONE, c));
+    let geo = iv.geo.iter().map(|(base, g)| (0, *base, g));
+    poly.chain(geo)
+        .flat_map(|(power, base, poly)| {
+            poly.iter().map(move |(mono, coeff)| Term {
+                power,
+                base,
+                mono: mono.clone(),
+                coeff: *coeff,
+            })
+        })
+        .collect()
+}
+
+/// Every pairwise product of two expansions.
+fn product(lhs: &[Term], rhs: &[Term]) -> Result<Vec<Term>, RationalError> {
+    let mut out = Vec::with_capacity(lhs.len() * rhs.len());
+    for a in lhs {
+        for b in rhs {
+            out.extend(a.times(b)?);
+        }
+    }
+    Ok(out)
+}
+
+/// The coefficient-matching system: one column per basis monomial, one
+/// row per distinct term key of any column's expansion. Each IV is
+/// expanded once; a degree-`d` column is the product of `d` expansions.
+fn coefficient_matrix(ivs: &[IvClosedForm], basis: &[Vec<u32>]) -> Result<Matrix, RationalError> {
+    let expansions: Vec<Vec<Term>> = ivs.iter().map(expand).collect();
+    let one = [Term {
+        power: 0,
+        base: Rational::ONE,
+        mono: Monomial::one(),
+        coeff: Rational::ONE,
+    }];
+    // Rows are numbered in first-seen order. The RREF, and so the
+    // candidates, depend only on the row space, not on that order.
+    let mut rows: BTreeMap<TermKey, usize> = BTreeMap::new();
+    let mut entries: Vec<(usize, usize, Rational)> = Vec::new();
+    for (col, exps) in basis.iter().enumerate() {
+        let mut factors = exps
+            .iter()
+            .enumerate()
+            .flat_map(|(i, &p)| std::iter::repeat_n(i, p as usize));
+        let column: Cow<'_, [Term]> = match factors.next() {
+            None => Cow::Borrowed(&one),
+            Some(first) => factors.try_fold(Cow::Borrowed(&expansions[first][..]), |acc, i| {
+                product(&acc, &expansions[i]).map(Cow::Owned)
+            })?,
+        };
+        for term in column.iter() {
+            let next = rows.len();
+            let row = *rows.entry(term.key()).or_insert(next);
+            entries.push((row, col, term.coeff));
+        }
+    }
+    let mut a = Matrix::zero(rows.len(), basis.len());
+    for (row, col, coeff) in entries {
+        let cell = a.get_mut(row, col);
+        *cell = cell.checked_add(&coeff)?;
+    }
+    Ok(a)
 }
 
 /// Derivation limits. The defaults match the served configuration:
@@ -78,9 +183,6 @@ pub struct InvariantConfig {
     pub max_ivs: usize,
     /// Maximum number of candidate relations returned per loop.
     pub max_candidates: usize,
-    /// Samples beyond the basis size (over-determination guards against
-    /// relations that only hold on the minimal sample set).
-    pub extra_samples: usize,
 }
 
 impl Default for InvariantConfig {
@@ -89,7 +191,6 @@ impl Default for InvariantConfig {
             max_degree: 2,
             max_ivs: 4,
             max_candidates: 4,
-            extra_samples: 2,
         }
     }
 }
@@ -199,66 +300,8 @@ pub fn derive_candidates(ivs: &[IvClosedForm], config: &InvariantConfig) -> Vec<
         return Vec::new();
     }
     let basis = monomial_basis(ivs.len(), config.max_degree);
-    let samples = basis.len() + config.extra_samples;
-
-    // Evaluate each IV's closed form once per sampled iteration count —
-    // every IV a basis monomial uses — then each basis monomial from those
-    // values. The results are symbolic polynomials over the loop-invariant
-    // symbols appearing in the closed forms; a relation must hold
-    // *identically* in those symbols, so each (sample, symbol-monomial)
-    // pair becomes one linear constraint over the candidate coefficients.
-    let mut values: Vec<Vec<SymPoly>> = Vec::with_capacity(ivs.len());
-    for (i, iv) in ivs.iter().enumerate() {
-        if !basis.iter().any(|exps| exps[i] > 0) {
-            values.push(Vec::new());
-            continue;
-        }
-        let Some(at) = (0..samples as i128).map(|h| iv.eval_at(h)).collect() else {
-            return Vec::new(); // overflow: refuse to derive
-        };
-        values.push(at);
-    }
-    let mut columns: Vec<Vec<SymPoly>> = Vec::with_capacity(basis.len());
-    for exps in &basis {
-        let mut column = Vec::with_capacity(samples);
-        for h in 0..samples {
-            let mut acc = SymPoly::constant(Rational::ONE);
-            for (at, &p) in values.iter().zip(exps) {
-                for _ in 0..p {
-                    acc = match acc.checked_mul(&at[h]) {
-                        Ok(m) => m,
-                        Err(_) => return Vec::new(),
-                    };
-                }
-            }
-            column.push(acc);
-        }
-        columns.push(column);
-    }
-
-    // Index the symbol-monomials seen anywhere (BTreeMap: deterministic).
-    let mut row_index: BTreeMap<Vec<(u32, u32)>, usize> = BTreeMap::new();
-    for column in &columns {
-        for poly in column {
-            for (mono, _) in poly.iter() {
-                let key = mono_key(mono);
-                let next = row_index.len();
-                row_index.entry(key).or_insert(next);
-            }
-        }
-    }
-    let rows = samples * row_index.len().max(1);
-    let mut a = Matrix::zero(rows, basis.len());
-    for (col, column) in columns.iter().enumerate() {
-        for (h, poly) in column.iter().enumerate() {
-            for (mono, coeff) in poly.iter() {
-                let r = h * row_index.len() + row_index[&mono_key(mono)];
-                *a.get_mut(r, col) = *coeff;
-            }
-        }
-    }
-
-    let Ok(kernel) = a.null_space() else {
+    // Any overflow, in the expansion or in the solve, refuses the loop.
+    let Ok(kernel) = coefficient_matrix(ivs, &basis).and_then(|a| a.null_space()) else {
         return Vec::new();
     };
     let mut out: Vec<Candidate> = Vec::new();
@@ -278,10 +321,6 @@ pub fn derive_candidates(ivs: &[IvClosedForm], config: &InvariantConfig) -> Vec<
         }
     }
     out
-}
-
-fn mono_key(mono: &biv_algebra::Monomial) -> Vec<(u32, u32)> {
-    mono.factors().iter().map(|(s, p)| (s.0, *p)).collect()
 }
 
 /// Clears denominators, divides by the content, and flips signs so the
@@ -367,8 +406,7 @@ mod tests {
                 .any(|r| r.contains("2*s") || r.contains("s")),
             "expected a relation mentioning s, got {rendered:?}"
         );
-        // Every candidate must actually vanish on the closed forms at
-        // iterations beyond the sampled range.
+        // Every candidate must actually vanish on the closed forms.
         for cand in &cands {
             for h in 0..20i128 {
                 let i_v = 1 + h;
@@ -392,7 +430,16 @@ mod tests {
             coeffs: vec![SymPoly::symbol(biv_algebra::SymId(3)), c(1)],
             geo: vec![],
         };
-        let cands = derive_candidates(&[i], &InvariantConfig::default());
+        let cands = derive_candidates(std::slice::from_ref(&i), &InvariantConfig::default());
+        assert!(cands.is_empty(), "got {cands:?}");
+        // With j = h beside it, i − j = n: still no relation with
+        // rational coefficients holds for every n.
+        let j = IvClosedForm {
+            name: "j".into(),
+            coeffs: vec![c(0), c(1)],
+            geo: vec![],
+        };
+        let cands = derive_candidates(&[i, j], &InvariantConfig::default());
         assert!(cands.is_empty(), "got {cands:?}");
     }
 
@@ -449,6 +496,200 @@ mod tests {
             })
         });
         assert!(found, "expected a g/d relation, got {cands:?}");
+    }
+
+    fn geometric(name: &str, base: Rational, coeff: i128) -> IvClosedForm {
+        IvClosedForm {
+            name: name.into(),
+            coeffs: vec![c(0)],
+            geo: vec![(base, c(coeff))],
+        }
+    }
+
+    fn rendered(ivs: &[IvClosedForm]) -> Vec<String> {
+        let names: Vec<String> = ivs.iter().map(|iv| iv.name.clone()).collect();
+        derive_candidates(ivs, &InvariantConfig::default())
+            .iter()
+            .map(|cand| cand.render(&names))
+            .collect()
+    }
+
+    #[test]
+    fn large_bases_are_never_raised_to_a_power() {
+        // 1000^h overflows i128 by h = 13; coefficient matching only ever
+        // multiplies bases pairwise, so the relations survive.
+        let g = geometric("g", Rational::from_integer(1000), 1);
+        let d = geometric("d", Rational::from_integer(1000), 3);
+        assert_eq!(
+            rendered(&[g, d]),
+            ["3*g - d = 0", "3*g^2 - g*d = 0", "9*g^2 - d^2 = 0"]
+        );
+    }
+
+    #[test]
+    fn bases_whose_product_is_one_cancel() {
+        // 2^h · (1/2)^h = 1^h, the constant row: g·k − 1 = 0.
+        let g = geometric("g", Rational::from_integer(2), 1);
+        let k = geometric("k", Rational::new(1, 2).unwrap(), 1);
+        assert_eq!(rendered(&[g, k]), ["1 - g*k = 0"]);
+    }
+
+    #[test]
+    fn alternating_sign_squares_to_one() {
+        let v = geometric("v", Rational::MINUS_ONE, 1);
+        assert_eq!(rendered(&[v]), ["1 - v^2 = 0"]);
+    }
+
+    #[test]
+    fn base_one_geometric_term_merges_with_the_constant() {
+        // v(h) = 2 + 3·1^h is the constant 5. Kept apart, the 1^h term
+        // would be a second row and v would have no relation at all.
+        let v = IvClosedForm {
+            name: "v".into(),
+            coeffs: vec![c(2)],
+            geo: vec![(Rational::ONE, c(3))],
+        };
+        assert_eq!(rendered(&[v]), ["5 - v = 0", "25 - v^2 = 0"]);
+    }
+
+    #[test]
+    fn base_zero_term_is_an_h_zero_indicator() {
+        // v(h) = 7·0^h is 7 at h = 0 and 0 afterwards; with i = h,
+        // i·v ≡ 0 (the h·0^h row is dropped) while v alone stays free.
+        let i = IvClosedForm {
+            name: "i".into(),
+            coeffs: vec![c(0), c(1)],
+            geo: vec![],
+        };
+        let v = geometric("v", Rational::ZERO, 7);
+        assert_eq!(rendered(&[i, v]), ["i*v = 0", "7*v - v^2 = 0"]);
+    }
+
+    /// xorshift64: deterministic, dependency-free randomness for the
+    /// property test below.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> i128 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            i128::from(self.0 % n)
+        }
+    }
+
+    /// A small random coefficient: an integer in −3..=3, sometimes plus
+    /// a multiple of one of two symbols.
+    fn random_coeff(rng: &mut Rng) -> SymPoly {
+        let constant = c(rng.below(7) - 3);
+        if rng.below(4) > 0 {
+            return constant;
+        }
+        let sym = SymPoly::symbol(biv_algebra::SymId(rng.below(2) as u32));
+        let scaled = sym.checked_scale(&Rational::from_integer(rng.below(3) + 1));
+        constant.checked_add(&scaled.unwrap()).unwrap()
+    }
+
+    fn random_iv(rng: &mut Rng, k: usize) -> IvClosedForm {
+        const BASES: [(i128, i128); 6] = [(2, 1), (1, 2), (-1, 1), (3, 1), (1, 1), (0, 1)];
+        let degree = rng.below(3) as usize;
+        let coeffs = (0..=degree)
+            .map(|d| {
+                let coeff = random_coeff(rng);
+                // Halves keep the running-sum shape (h² + h)/2 reachable.
+                let half = if d > 0 && rng.below(2) == 0 { 2 } else { 1 };
+                coeff
+                    .checked_scale(&Rational::new(1, half).unwrap())
+                    .unwrap()
+            })
+            .collect();
+        let geo = (0..rng.below(2))
+            .map(|_| {
+                let (n, d) = BASES[rng.below(BASES.len() as u64) as usize];
+                (Rational::new(n, d).unwrap(), random_coeff(rng))
+            })
+            .collect();
+        IvClosedForm {
+            name: format!("v{k}"),
+            coeffs,
+            geo,
+        }
+    }
+
+    /// The closed form at `h` with every symbol assigned, by direct
+    /// exact evaluation — no expansion, no matrix. `None` on overflow.
+    fn eval_closed_form(iv: &IvClosedForm, h: u32, symbols: &[Rational]) -> Option<Rational> {
+        let lookup = |s: biv_algebra::SymId| symbols.get(s.0 as usize).copied();
+        let hr = Rational::from_integer(i128::from(h));
+        let mut acc = Rational::ZERO;
+        for (k, coeff) in iv.coeffs.iter().enumerate() {
+            let term = coeff
+                .eval(lookup)?
+                .checked_mul(&hr.checked_pow(k as i32).ok()?);
+            acc = acc.checked_add(&term.ok()?).ok()?;
+        }
+        for (base, coeff) in &iv.geo {
+            let power = base.checked_pow(h as i32).ok()?;
+            acc = acc
+                .checked_add(&coeff.eval(lookup)?.checked_mul(&power).ok()?)
+                .ok()?;
+        }
+        Some(acc)
+    }
+
+    fn eval_candidate(cand: &Candidate, values: &[Rational]) -> Option<Rational> {
+        let mut acc = Rational::ZERO;
+        for (coeff, exps) in cand.coeffs.iter().zip(&cand.exps) {
+            let mut term = Rational::from_integer(*coeff);
+            for (value, &p) in values.iter().zip(exps) {
+                term = term.checked_mul(&value.checked_pow(p as i32).ok()?).ok()?;
+            }
+            acc = acc.checked_add(&term).ok()?;
+        }
+        Some(acc)
+    }
+
+    /// Soundness: every derived candidate vanishes at h = 0..64 under
+    /// several integer assignments of the symbols, evaluated exactly
+    /// from the closed forms with no shared derivation code.
+    #[test]
+    fn every_candidate_vanishes_on_the_closed_forms() {
+        let mut rng = Rng(0x2545_f491_4f6c_dd1d);
+        let mut candidates = 0;
+        for _ in 0..300 {
+            let count = 1 + rng.below(4) as usize;
+            let ivs: Vec<IvClosedForm> = (0..count).map(|k| random_iv(&mut rng, k)).collect();
+            let cands = derive_candidates(&ivs, &InvariantConfig::default());
+            candidates += cands.len();
+            for _ in 0..4 {
+                let symbols = [
+                    Rational::from_integer(rng.below(11) - 5),
+                    Rational::from_integer(rng.below(11) - 5),
+                ];
+                for cand in &cands {
+                    let mut checked = 0;
+                    for h in 0..=64 {
+                        let values: Option<Vec<Rational>> = ivs
+                            .iter()
+                            .map(|iv| eval_closed_form(iv, h, &symbols))
+                            .collect();
+                        let Some(value) = values.and_then(|v| eval_candidate(cand, &v)) else {
+                            continue; // overflow at a large h: skip, counted below
+                        };
+                        assert!(value.is_zero(), "{cand:?} is {value} at h={h} for {ivs:?}");
+                        checked += 1;
+                    }
+                    assert!(
+                        checked >= 20,
+                        "only {checked} iterations checkable for {ivs:?}"
+                    );
+                }
+            }
+        }
+        assert!(
+            candidates >= 100,
+            "only {candidates} candidates: the test is vacuous"
+        );
     }
 
     #[test]

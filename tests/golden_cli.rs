@@ -72,6 +72,20 @@ fn directory_batch_output_matches_golden() {
     check_golden("directory.txt", &actual);
 }
 
+/// Pins the relation set of the committed invariant corpus: a change to
+/// how relations are derived must not change which ones are found.
+#[test]
+fn invariant_corpus_output_matches_golden() {
+    let actual = stdout_of(&[
+        "--invariants",
+        "tests/invariant_corpus/five_ivs.biv",
+        "tests/invariant_corpus/mixed_geometric.biv",
+        "tests/invariant_corpus/running_sum.biv",
+        "tests/invariant_corpus/sum_of_squares.biv",
+    ]);
+    check_golden("invariant_corpus.txt", &actual);
+}
+
 #[test]
 fn cli_output_is_job_count_invariant() {
     let base = stdout_of(&["--jobs", "1", "tests/golden"]);

@@ -63,6 +63,28 @@ fn loop_with_five_ivs_keeps_relations_over_its_first_four() {
     assert_eq!(invariant_lines(&out), FIVE_IV_RELATIONS, "report:\n{out}");
 }
 
+/// `g = 1000^h`, `d = 3·1000^h`: `1000^h` overflows `i128` by `h = 13`,
+/// but derivation never raises a base to a power, so the loop still
+/// gets relations, and the interpreter verifies them.
+#[test]
+fn large_geometric_bases_yield_verified_relations() {
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/invariant_corpus/big_geometric.biv"
+    );
+    let out = bivc_stdout(&["--invariants", path]);
+    assert_eq!(
+        invariant_lines(&out),
+        [
+            "    invariant: 3*%0 - %1 = 0",
+            "    invariant: 3*%0^2 - %0*%1 = 0",
+            "    invariant: 9*%0^2 - %1^2 = 0",
+            "    invariant: 3*%0*%2 - %1*%2 = 0",
+        ],
+        "report:\n{out}"
+    );
+}
+
 #[test]
 fn invariants_flag_is_pure_line_addition_and_recovers_planted_labels() {
     let dir = scratch_dir("inv-diff-local");
