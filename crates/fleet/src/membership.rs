@@ -352,8 +352,6 @@ pub struct AgentConfig {
     /// This shard's store directory — the snapshot handed over on
     /// join/leave rebalance. `None` disables handoff.
     pub cache_dir: Option<PathBuf>,
-    /// Whether membership transitions trigger snapshot handoffs.
-    pub auto_rebalance: bool,
     /// Bound on queued replication batches (oldest dropped beyond it).
     pub replica_queue_cap: usize,
     /// Send attempts per replication batch before it is dropped.
@@ -362,7 +360,7 @@ pub struct AgentConfig {
 
 impl AgentConfig {
     /// Defaults: R=2, 250 ms heartbeat, suspect at 1 s, dead at 4 s,
-    /// auto-rebalance on, no store directory. The retry budget is sized
+    /// no store directory. The retry budget is sized
     /// so a batch enqueued while membership is still converging (its
     /// replica unmet, so undeliverable) survives several heartbeat
     /// rounds of backoff instead of being dropped.
@@ -377,7 +375,6 @@ impl AgentConfig {
             suspect_after: Duration::from_millis(1_000),
             dead_after: Duration::from_millis(4_000),
             cache_dir: None,
-            auto_rebalance: true,
             replica_queue_cap: 1024,
             replica_max_retries: 10,
         }
@@ -518,7 +515,7 @@ impl ClusterAgent {
     /// never a byte of output.
     fn handoff_joins(&self) {
         let joins = self.membership.take_joins();
-        if joins.is_empty() || !self.config.auto_rebalance {
+        if joins.is_empty() {
             return;
         }
         let Some(dir) = &self.config.cache_dir else {
@@ -546,9 +543,6 @@ impl ClusterAgent {
     fn depart(&self) {
         self.membership.note_draining();
         self.push_view();
-        if !self.config.auto_rebalance {
-            return;
-        }
         let Some(dir) = &self.config.cache_dir else {
             return;
         };

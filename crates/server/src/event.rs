@@ -1,12 +1,10 @@
-//! The readiness-driven front-end (Linux): one thread, an epoll set,
-//! every connection nonblocking.
+//! The network front-end: one thread, a readiness set, every connection
+//! nonblocking.
 //!
-//! The threaded front-end burns a stack per connection, which caps how
-//! many idle clients a daemon can hold open. Here the event loop owns
-//! *all* connection I/O — accept, framed reads, framed writes — and
-//! only analysis leaves the thread, through the same bounded queue and
-//! worker pool the threaded mode uses. Workers hand results back via a
-//! completion queue plus an eventfd waker; the loop writes them out
+//! The event loop owns *all* connection I/O — accept, framed reads,
+//! framed writes — and only analysis leaves the thread, through the
+//! bounded queue and the worker pool. Workers hand results back via a
+//! completion queue plus a socketpair waker; the loop writes them out
 //! when the socket is ready. Ten thousand idle connections cost ten
 //! thousand fds and `ConnState`s, not ten thousand threads.
 //!
@@ -16,214 +14,125 @@
 //!   readable ──→ read_buf ──(full frame? no job in flight?)──→ decode
 //!      decode ──→ inline (ping/stats/shutdown/members): bytes queued
 //!             └─→ queued job: `pending = seq`, decode pauses
-//!   completion (worker, via eventfd) ──(seq matches?)──→ bytes queued
-//!                                        └─ stale ──→ late_results
+//!   completion (worker, via waker) ──(seq matches?)──→ bytes queued
+//!                                       └─ stale ──→ late_results
 //!   deadline ──→ timeout response queued, job marked stale
-//!   bytes queued ──→ optimistic write, EPOLLOUT while unflushed
+//!   bytes queued ──→ optimistic write, write interest while unflushed
+//!   read() == 0 ──→ peer_eof: read interest off, close once answered
 //! ```
 //!
-//! Decode pauses while a job is in flight so each connection sees
-//! responses in request order — the same order the threaded mode's
-//! one-thread-per-connection loop produces. All response bytes come
-//! from [`crate::server::route_request`] and the shared worker pool, so
-//! the two front-ends answer byte-identical responses.
+//! Decode pauses while a job is in flight, so each connection sees
+//! responses in request order. All response bytes come from
+//! [`crate::server::route_request`] and the shared worker pool.
 //!
-//! Drain mirrors the threaded mode: stop accepting, answer every
-//! accepted job, reject frames that arrive after drain with an explicit
-//! `draining` error, and give mid-frame or unread-response peers a
-//! bounded grace before closing on them.
+//! Drain: stop accepting, answer every accepted job, reject frames that
+//! arrive after drain with an explicit `draining` error, and give
+//! mid-frame or unread-response peers a bounded grace before closing on
+//! them.
 //!
-//! The syscall layer declares `epoll_create1`/`epoll_ctl`/`epoll_wait`/
-//! `eventfd` directly, in the spirit of [`crate::signal`] — the
-//! workspace builds offline with zero external dependencies, and the C
-//! library is linked into every Rust binary anyway.
+//! Readiness comes from [`crate::readiness`]: epoll on Linux, `poll(2)`
+//! on every other unix. The loop is generic over the backend, and is
+//! the same state machine on both.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
-use std::fs::File;
 use std::io::{self, Read, Write};
 use std::os::fd::AsRawFd;
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
+use crate::frame::append_frame;
 use crate::net::{Conn, Endpoint, Listener};
 use crate::proto::{Request, Response};
+use crate::readiness::{Event, Readiness, ERROR, HANGUP, READABLE, WRITABLE};
 use crate::server::{
-    draining_response, route_request, submit_job, timeout_response, worker_loop, ReplySink, Routed,
+    draining_response, route_request, submit_job, timeout_response, worker_loop, Routed,
     ServeSummary, ServerConfig, Shared,
 };
 
-/// Raw epoll/eventfd declarations. No `libc` crate — see the module
-/// docs. Constants match the Linux UAPI headers.
-#[allow(unsafe_code)]
-mod sys {
-    use std::io;
-    use std::os::fd::{FromRawFd, OwnedFd, RawFd};
-
-    pub const EPOLL_CTL_ADD: i32 = 1;
-    pub const EPOLL_CTL_DEL: i32 = 2;
-    pub const EPOLL_CTL_MOD: i32 = 3;
-
-    pub const EPOLLIN: u32 = 0x1;
-    pub const EPOLLOUT: u32 = 0x4;
-    pub const EPOLLERR: u32 = 0x8;
-    pub const EPOLLHUP: u32 = 0x10;
-    pub const EPOLLRDHUP: u32 = 0x2000;
-
-    const EPOLL_CLOEXEC: i32 = 0o2000000;
-    const EFD_CLOEXEC: i32 = 0o2000000;
-    const EFD_NONBLOCK: i32 = 0o4000;
-
-    /// `struct epoll_event`. The x86-64 kernel ABI packs it (a 12-byte
-    /// struct); other architectures use natural alignment.
-    #[cfg_attr(target_arch = "x86_64", repr(C, packed))]
-    #[cfg_attr(not(target_arch = "x86_64"), repr(C))]
-    #[derive(Clone, Copy)]
-    pub struct EpollEvent {
-        pub events: u32,
-        pub data: u64,
-    }
-
-    extern "C" {
-        fn epoll_create1(flags: i32) -> i32;
-        fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
-        fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32) -> i32;
-        fn eventfd(initval: u32, flags: i32) -> i32;
-    }
-
-    fn check(ret: i32) -> io::Result<i32> {
-        if ret < 0 {
-            Err(io::Error::last_os_error())
-        } else {
-            Ok(ret)
-        }
-    }
-
-    /// Creates the epoll instance (close-on-exec).
-    pub fn create() -> io::Result<OwnedFd> {
-        // SAFETY: plain syscall; a valid return is a fresh fd we own.
-        let fd = check(unsafe { epoll_create1(EPOLL_CLOEXEC) })?;
-        Ok(unsafe { OwnedFd::from_raw_fd(fd) })
-    }
-
-    /// Creates the wake eventfd (close-on-exec, nonblocking so a
-    /// defensive drain of an empty counter cannot hang the loop).
-    pub fn new_eventfd() -> io::Result<OwnedFd> {
-        // SAFETY: plain syscall; a valid return is a fresh fd we own.
-        let fd = check(unsafe { eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK) })?;
-        Ok(unsafe { OwnedFd::from_raw_fd(fd) })
-    }
-
-    /// One `epoll_ctl` operation; `events`/`data` are ignored for DEL.
-    pub fn ctl(epfd: RawFd, op: i32, fd: RawFd, events: u32, data: u64) -> io::Result<()> {
-        let mut event = EpollEvent { events, data };
-        let eventp = if op == EPOLL_CTL_DEL {
-            std::ptr::null_mut()
-        } else {
-            &mut event as *mut EpollEvent
-        };
-        // SAFETY: `eventp` is null (DEL) or points at a live stack value
-        // for the duration of the call.
-        check(unsafe { epoll_ctl(epfd, op, fd, eventp) }).map(|_| ())
-    }
-
-    /// Waits for readiness, filling `events`; returns how many fired.
-    pub fn wait(epfd: RawFd, events: &mut [EpollEvent], timeout_ms: i32) -> io::Result<usize> {
-        // SAFETY: the pointer/length pair describes the caller's live
-        // buffer; the kernel writes at most `maxevents` entries.
-        let n = check(unsafe {
-            epoll_wait(epfd, events.as_mut_ptr(), events.len() as i32, timeout_ms)
-        })?;
-        Ok(n as usize)
-    }
-}
-
-/// Token of the listening socket in the epoll set.
+/// Token of the listening socket in the readiness set.
 const TOKEN_LISTENER: u64 = 0;
-/// Token of the eventfd waker.
+/// Token of the waker's read end.
 const TOKEN_WAKER: u64 = 1;
 /// First token handed to an accepted connection.
 const FIRST_CONN_TOKEN: u64 = 2;
 /// Read chunk size; one scratch buffer is shared by every connection.
 const READ_CHUNK: usize = 64 * 1024;
-/// Readiness events drained per `epoll_wait` (level-triggered, so a
-/// busier set simply fills the next wait).
-const MAX_EVENTS: usize = 256;
-
-/// The epoll set.
-struct Epoll(std::os::fd::OwnedFd);
-
-impl Epoll {
-    fn new() -> io::Result<Epoll> {
-        sys::create().map(Epoll)
-    }
-
-    fn add(&self, fd: i32, token: u64, events: u32) -> io::Result<()> {
-        sys::ctl(self.0.as_raw_fd(), sys::EPOLL_CTL_ADD, fd, events, token)
-    }
-
-    fn modify(&self, fd: i32, token: u64, events: u32) -> io::Result<()> {
-        sys::ctl(self.0.as_raw_fd(), sys::EPOLL_CTL_MOD, fd, events, token)
-    }
-
-    fn del(&self, fd: i32) -> io::Result<()> {
-        sys::ctl(self.0.as_raw_fd(), sys::EPOLL_CTL_DEL, fd, 0, 0)
-    }
-
-    fn wait(&self, events: &mut [sys::EpollEvent], timeout_ms: i32) -> io::Result<usize> {
-        sys::wait(self.0.as_raw_fd(), events, timeout_ms)
-    }
-}
 
 /// Finished worker results on their way back to the loop: the shared
-/// queue plus the eventfd that wakes `epoll_wait` when one lands.
+/// queue plus a nonblocking socketpair whose read end wakes the loop's
+/// wait when a byte lands.
 struct Completions {
     queue: Mutex<Vec<(u64, u64, Response)>>,
-    waker: File,
+    wake_tx: UnixStream,
+    wake_rx: UnixStream,
 }
 
 impl Completions {
     fn new() -> io::Result<Completions> {
+        let (wake_tx, wake_rx) = UnixStream::pair()?;
+        wake_tx.set_nonblocking(true)?;
+        wake_rx.set_nonblocking(true)?;
         Ok(Completions {
             queue: Mutex::new(Vec::new()),
-            waker: File::from(sys::new_eventfd()?),
+            wake_tx,
+            wake_rx,
         })
     }
 
     /// Called from worker threads: park the response, wake the loop.
+    /// A worker's reply guard calls this while unwinding, where a second
+    /// panic would abort, so a poisoned lock is recovered: a `Vec` push
+    /// never leaves the queue half-updated.
     fn push(&self, token: u64, seq: u64, response: Response) {
         self.queue
             .lock()
-            .expect("completion queue poisoned")
+            .unwrap_or_else(PoisonError::into_inner)
             .push((token, seq, response));
-        // An eventfd write is an 8-byte counter add; failure (only a
-        // full counter) still leaves the queued completion visible to
-        // the next poll-interval wakeup.
-        let _ = (&self.waker).write_all(&1u64.to_ne_bytes());
+        // `WouldBlock` means the pair's buffer is full of earlier wake
+        // bytes, so the loop is already due to wake. Any other failure
+        // still leaves the completion visible to the next poll-interval
+        // wakeup.
+        let _ = (&self.wake_tx).write(&[1]);
     }
 
-    /// Called from the loop: clear the waker, take everything queued.
+    /// Called from the loop when the waker fired: read it dry. Stopping
+    /// early would leave it readable, and the level-triggered wait
+    /// would re-fire on it forever.
+    fn clear_waker(&self) {
+        let mut sink = [0u8; 256];
+        loop {
+            match (&self.wake_rx).read(&mut sink) {
+                Ok(0) => return,
+                Ok(_) => {}
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(_) => return, // WouldBlock: empty
+            }
+        }
+    }
+
+    /// Called from the loop: take everything queued.
     fn take(&self) -> Vec<(u64, u64, Response)> {
-        let mut counter = [0u8; 8];
-        let _ = (&self.waker).read(&mut counter); // nonblocking; may be empty
         std::mem::take(&mut *self.queue.lock().expect("completion queue poisoned"))
     }
 }
 
-/// The worker-side reply handle for one queued job.
-struct EventSink {
+/// Where a worker delivers one queued job's response: the loop's
+/// completion queue, tagged with the connection and request it answers.
+pub(crate) struct Reply {
     completions: Arc<Completions>,
     token: u64,
     seq: u64,
 }
 
-impl ReplySink for EventSink {
-    fn send(&self, response: Response) -> bool {
+impl Reply {
+    /// Delivers the response. Staleness is the loop's call: it compares
+    /// `seq` against the connection's pending job and counts
+    /// `late_results` itself.
+    pub(crate) fn send(&self, response: Response) {
         self.completions.push(self.token, self.seq, response);
-        // Staleness is the loop's call: it compares `seq` against the
-        // connection's pending job and counts `late_results` itself.
-        true
     }
 }
 
@@ -243,7 +152,7 @@ struct ConnState {
     /// Sequence numbers distinguish a late result from the answer to a
     /// retransmitted request on the same connection.
     next_seq: u64,
-    /// Interest bits currently registered with epoll.
+    /// Interest bits currently registered with the readiness set.
     registered: u32,
     /// Close once `write_buf` flushes (post-drain rejection sent).
     close_after_flush: bool,
@@ -263,7 +172,7 @@ impl ConnState {
             wpos: 0,
             pending: None,
             next_seq: 0,
-            registered: sys::EPOLLIN | sys::EPOLLRDHUP,
+            registered: READABLE,
             close_after_flush: false,
             grace_deadline: None,
             peer_eof: false,
@@ -275,12 +184,13 @@ impl ConnState {
     }
 }
 
-/// Appends one framed response to the connection's write buffer.
+/// Appends one framed response to the connection's write buffer. A
+/// response too large for the length prefix cannot be framed at all,
+/// so the connection closes instead.
 fn queue_response(c: &mut ConnState, response: &Response) {
-    let payload = response.encode();
-    c.write_buf
-        .extend_from_slice(&(payload.len() as u32).to_be_bytes());
-    c.write_buf.extend_from_slice(&payload);
+    if append_frame(&mut c.write_buf, &response.encode()).is_err() {
+        c.close_after_flush = true;
+    }
 }
 
 /// Writes as much of the buffer as the socket accepts right now.
@@ -301,8 +211,7 @@ fn flush_conn(c: &mut ConnState) -> Result<bool, ()> {
 }
 
 /// Reads everything currently available. `Err` means the connection
-/// died (including a frame beyond the size limit, matching the threaded
-/// front-end, which also drops the connection).
+/// died, including a frame beyond the size limit.
 fn fill_read(c: &mut ConnState, scratch: &mut [u8], max_frame_bytes: usize) -> Result<(), ()> {
     loop {
         match c.conn.read(scratch) {
@@ -325,10 +234,10 @@ fn fill_read(c: &mut ConnState, scratch: &mut [u8], max_frame_bytes: usize) -> R
 
 /// Everything the per-connection handlers need besides the connection
 /// itself.
-struct LoopCtx<'s, 'e> {
+struct LoopCtx<'s, 'e, P> {
     shared: &'s Shared<'s>,
     config: &'s ServerConfig,
-    epoll: &'e Epoll,
+    poller: &'e mut P,
     completions: &'e Arc<Completions>,
     deadlines: &'e mut BinaryHeap<Reverse<(Instant, u64, u64)>>,
     draining: bool,
@@ -336,7 +245,7 @@ struct LoopCtx<'s, 'e> {
 
 /// Decodes and serves buffered frames until the buffer runs dry or a
 /// job goes in flight. `Err` means the connection must close.
-fn pump_frames(ctx: &mut LoopCtx<'_, '_>, c: &mut ConnState, token: u64) -> Result<(), ()> {
+fn pump_frames<P>(ctx: &mut LoopCtx<'_, '_, P>, c: &mut ConnState, token: u64) -> Result<(), ()> {
     while c.pending.is_none() && !c.close_after_flush {
         if c.read_buf.len() < 4 {
             return Ok(());
@@ -350,8 +259,7 @@ fn pump_frames(ctx: &mut LoopCtx<'_, '_>, c: &mut ConnState, token: u64) -> Resu
             return Ok(());
         }
         let payload: Vec<u8> = c.read_buf.drain(..4 + len).skip(4).collect();
-        // A frame completed after drain began is answered, not served —
-        // same contract as the threaded front-end.
+        // A frame completed after drain began is answered, not served.
         if ctx.draining {
             queue_response(c, &draining_response());
             c.close_after_flush = true;
@@ -390,12 +298,12 @@ fn pump_frames(ctx: &mut LoopCtx<'_, '_>, c: &mut ConnState, token: u64) -> Resu
             Routed::Queue(kind) => {
                 let seq = c.next_seq;
                 c.next_seq += 1;
-                let sink = Arc::new(EventSink {
+                let reply = Reply {
                     completions: Arc::clone(ctx.completions),
                     token,
                     seq,
-                });
-                match submit_job(ctx.shared, kind, sink) {
+                };
+                match submit_job(ctx.shared, kind, reply) {
                     Ok(()) => {
                         let deadline = Instant::now() + ctx.config.request_timeout;
                         c.pending = Some(seq);
@@ -411,9 +319,9 @@ fn pump_frames(ctx: &mut LoopCtx<'_, '_>, c: &mut ConnState, token: u64) -> Resu
 
 /// Runs a connection's post-event machinery: decode what's buffered,
 /// flush what's queued, decide whether it stays open, and keep its
-/// epoll interest in sync. Returns `false` when the connection must be
-/// dropped.
-fn service_conn(ctx: &mut LoopCtx<'_, '_>, c: &mut ConnState, token: u64) -> bool {
+/// readiness interest in sync. Returns `false` when the connection must
+/// be dropped.
+fn service_conn<P: Readiness>(ctx: &mut LoopCtx<'_, '_, P>, c: &mut ConnState, token: u64) -> bool {
     if pump_frames(ctx, c, token).is_err() {
         return false;
     }
@@ -439,9 +347,12 @@ fn service_conn(ctx: &mut LoopCtx<'_, '_>, c: &mut ConnState, token: u64) -> boo
             c.grace_deadline = Some(Instant::now() + ctx.config.drain_grace);
         }
     }
-    let want = sys::EPOLLIN | sys::EPOLLRDHUP | if c.has_unsent() { sys::EPOLLOUT } else { 0 };
+    // After EOF the socket stays readable for good; keeping read
+    // interest would re-fire every wait while the answer is pending.
+    let read = if c.peer_eof { 0 } else { READABLE };
+    let want = read | if c.has_unsent() { WRITABLE } else { 0 };
     if want != c.registered {
-        if ctx.epoll.modify(c.conn.as_raw_fd(), token, want).is_err() {
+        if ctx.poller.modify(c.conn.as_raw_fd(), token, want).is_err() {
             return false;
         }
         c.registered = want;
@@ -449,10 +360,9 @@ fn service_conn(ctx: &mut LoopCtx<'_, '_>, c: &mut ConnState, token: u64) -> boo
     true
 }
 
-/// Serves until drain completes. See the module docs for the design;
-/// the externally observable behavior (response bytes, drain contract,
-/// metrics) matches [`crate::server`]'s threaded front-end.
-pub(crate) fn run_event(
+/// Serves on readiness backend `P` until drain completes. See the
+/// module docs for the design.
+pub(crate) fn serve<P: Readiness>(
     listener: Listener,
     config: ServerConfig,
     shutdown: &AtomicBool,
@@ -460,10 +370,10 @@ pub(crate) fn run_event(
     let shared = Shared::open(&config, &listener, shutdown)?;
     let workers = shared.workers;
     listener.set_nonblocking(true)?;
-    let epoll = Epoll::new()?;
+    let mut poller = P::new()?;
     let completions = Arc::new(Completions::new()?);
-    epoll.add(listener.as_raw_fd(), TOKEN_LISTENER, sys::EPOLLIN)?;
-    epoll.add(completions.waker.as_raw_fd(), TOKEN_WAKER, sys::EPOLLIN)?;
+    poller.add(listener.as_raw_fd(), TOKEN_LISTENER, READABLE)?;
+    poller.add(completions.wake_rx.as_raw_fd(), TOKEN_WAKER, READABLE)?;
 
     std::thread::scope(|scope| {
         let shared = &shared;
@@ -476,7 +386,7 @@ pub(crate) fn run_event(
         let mut conns: HashMap<u64, ConnState> = HashMap::new();
         let mut next_token = FIRST_CONN_TOKEN;
         let mut deadlines: BinaryHeap<Reverse<(Instant, u64, u64)>> = BinaryHeap::new();
-        let mut events = vec![sys::EpollEvent { events: 0, data: 0 }; MAX_EVENTS];
+        let mut events: Vec<Event> = Vec::new();
         let mut scratch = vec![0u8; READ_CHUNK];
         let mut draining = false;
 
@@ -487,28 +397,37 @@ pub(crate) fn run_event(
                 // the workers run the queue dry.
                 draining = true;
                 if let Some(l) = listener.take() {
-                    let _ = epoll.del(l.as_raw_fd());
+                    let _ = poller.del(l.as_raw_fd());
                 }
                 if let Endpoint::Unix(path) = &config.endpoint {
                     std::fs::remove_file(path).ok();
                 }
                 shared.queue.close();
+                let idle: Vec<u64> = conns
+                    .iter()
+                    .filter(|(_, c)| {
+                        c.pending.is_none() && !c.has_unsent() && c.read_buf.is_empty()
+                    })
+                    .map(|(&token, _)| token)
+                    .collect();
+                for token in idle {
+                    drop_conn(&mut poller, &mut conns, token);
+                }
                 let grace = Instant::now() + config.drain_grace;
-                conns.retain(|_, c| {
-                    let busy = c.pending.is_some() || c.has_unsent() || !c.read_buf.is_empty();
-                    if busy && c.pending.is_none() {
-                        c.grace_deadline = Some(grace);
-                    }
-                    busy
-                });
+                for c in conns.values_mut().filter(|c| c.pending.is_none()) {
+                    c.grace_deadline = Some(grace);
+                }
             }
             if draining && conns.is_empty() {
                 break;
             }
 
-            // Replace any worker that died (see the threaded front-end:
-            // only an escaped panic ends a worker while the queue is
-            // open, and its client was answered by the reply guard).
+            // Replace any worker that died. While the server is
+            // accepting, the queue is open, so a finished worker thread
+            // can only mean a panic escaped the per-job catch (e.g. the
+            // injected `worker.die` fault). The stranded client was
+            // already answered by the worker's reply guard; here we
+            // restore pool capacity.
             for slot in worker_handles.iter_mut() {
                 if slot.is_finished() {
                     let fresh = scope.spawn(move || worker_loop(shared));
@@ -538,42 +457,37 @@ pub(crate) fn run_event(
             }
             let timeout_ms = timeout.as_millis().min(i32::MAX as u128) as i32;
 
-            // Injected EINTR: `epoll_wait` is the one place the loop
-            // blocks, so signal storms land here. A real EINTR takes
-            // the same early-continue.
+            // Injected EINTR: the wait is the one place the loop blocks,
+            // so signal storms land here. A real EINTR takes the same
+            // early-continue.
             if crate::faults::fire("epoll.wait.eintr") {
                 continue;
             }
-            let fired = if crate::faults::fire("epoll.spurious.wake") {
+            if crate::faults::fire("epoll.spurious.wake") {
                 // A spurious wakeup reports no events; level-triggered
                 // readiness re-fires on the next wait, so correctness
                 // must not depend on acting now.
-                0
+                events.clear();
             } else {
-                match epoll.wait(&mut events, timeout_ms) {
-                    Ok(n) => n,
+                match poller.wait(&mut events, timeout_ms) {
+                    Ok(()) => {}
                     Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(e) => {
-                        // epoll_wait failing outright (EBADF-class bugs)
-                        // has no sane recovery; surface it.
-                        return Err(e);
-                    }
+                    // A failing wait (EBADF-class bugs) has no sane
+                    // recovery; surface it.
+                    Err(e) => return Err(e),
                 }
-            };
+            }
 
             let mut ctx = LoopCtx {
                 shared,
                 config: &config,
-                epoll: &epoll,
+                poller: &mut poller,
                 completions: &completions,
                 deadlines: &mut deadlines,
                 draining,
             };
 
-            for event in &events[..fired] {
-                // Copy out of the (packed) kernel struct before use.
-                let token = event.data;
-                let bits = event.events;
+            for &Event { token, bits } in &events {
                 match token {
                     TOKEN_LISTENER => {
                         let Some(l) = listener.as_ref() else { continue };
@@ -587,7 +501,7 @@ pub(crate) fn run_event(
                                     next_token += 1;
                                     let state = ConnState::new(conn);
                                     if ctx
-                                        .epoll
+                                        .poller
                                         .add(state.conn.as_raw_fd(), token, state.registered)
                                         .is_err()
                                     {
@@ -608,45 +522,29 @@ pub(crate) fn run_event(
                             }
                         }
                     }
-                    TOKEN_WAKER => {} // completions are drained below
+                    TOKEN_WAKER => completions.clear_waker(),
                     token => {
                         let Some(c) = conns.get_mut(&token) else {
                             continue;
                         };
-                        let broken = bits & (sys::EPOLLERR | sys::EPOLLHUP) != 0
-                            || (bits & (sys::EPOLLIN | sys::EPOLLRDHUP) != 0
+                        // A hangup beside readable is left to the read,
+                        // which returns what the peer sent and then EOF:
+                        // macOS reports it on a half-close. A hangup
+                        // alone (no read interest left) is a gone peer.
+                        let broken = bits & ERROR != 0
+                            || bits & (READABLE | HANGUP) == HANGUP
+                            || (bits & READABLE != 0
                                 && fill_read(c, &mut scratch, config.max_frame_bytes).is_err());
-                        let keep = !broken && service_conn(&mut ctx, c, token);
-                        if !keep {
-                            conns.remove(&token); // drop closes the fd
+                        if broken || !service_conn(&mut ctx, c, token) {
+                            drop_conn(ctx.poller, &mut conns, token);
                         }
                     }
                 }
             }
 
-            // Deliver worker completions. Drained unconditionally —
-            // cheap when empty, and it makes waker-edge ordering moot.
-            for (token, seq, response) in completions.take() {
-                let stale = match conns.get_mut(&token) {
-                    Some(c) if c.pending == Some(seq) => {
-                        c.pending = None;
-                        queue_response(c, &response);
-                        if !service_conn(&mut ctx, c, token) {
-                            conns.remove(&token);
-                        }
-                        false
-                    }
-                    // Connection gone, or the request already timed
-                    // out: the worker's result arrives late.
-                    _ => true,
-                };
-                if stale {
-                    shared.metrics.late_results.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-
-            // Expire request deadlines: answer `timeout` now; the
-            // worker's eventual result will be counted late above.
+            // Expire request deadlines before delivering completions, so
+            // a result that lands after its deadline is always late: answer
+            // `timeout` now; the worker's result is counted late below.
             let now = Instant::now();
             while let Some(Reverse((at, token, seq))) = ctx.deadlines.peek().copied() {
                 if at > now {
@@ -663,16 +561,39 @@ pub(crate) fn run_event(
                 let response = timeout_response(shared);
                 queue_response(c, &response);
                 if !service_conn(&mut ctx, c, token) {
-                    conns.remove(&token);
+                    drop_conn(ctx.poller, &mut conns, token);
+                }
+            }
+
+            // Deliver worker completions. Taken unconditionally — cheap
+            // when empty, and it makes waker ordering moot.
+            for (token, seq, response) in completions.take() {
+                match conns.get_mut(&token) {
+                    Some(c) if c.pending == Some(seq) => {
+                        c.pending = None;
+                        queue_response(c, &response);
+                        if !service_conn(&mut ctx, c, token) {
+                            drop_conn(ctx.poller, &mut conns, token);
+                        }
+                    }
+                    // Connection gone, or the request already timed
+                    // out: the worker's result arrives late.
+                    _ => {
+                        shared.metrics.late_results.fetch_add(1, Ordering::Relaxed);
+                    }
                 }
             }
 
             // Expire drain grace.
             if draining {
-                conns.retain(|_, c| match c.grace_deadline {
-                    Some(at) => at > now,
-                    None => true,
-                });
+                let expired: Vec<u64> = conns
+                    .iter()
+                    .filter(|(_, c)| c.grace_deadline.is_some_and(|at| at <= now))
+                    .map(|(&token, _)| token)
+                    .collect();
+                for token in expired {
+                    drop_conn(ctx.poller, &mut conns, token);
+                }
             }
         }
 
@@ -686,4 +607,13 @@ pub(crate) fn run_event(
 
         Ok(shared.summary())
     })
+}
+
+/// Unregisters and closes one connection. The `poll(2)` backend keeps
+/// an array slot per registered fd, so a closed fd must leave the set
+/// before the kernel hands its number to the next accept.
+fn drop_conn<P: Readiness>(poller: &mut P, conns: &mut HashMap<u64, ConnState>, token: u64) {
+    if let Some(c) = conns.remove(&token) {
+        let _ = poller.del(c.conn.as_raw_fd());
+    }
 }

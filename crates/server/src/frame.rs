@@ -19,12 +19,25 @@ use std::io::{self, Read, Write};
 /// real analysis request, low enough to fail fast on garbage prefixes.
 pub const MAX_FRAME_BYTES: usize = 64 << 20;
 
-/// Writes one frame: length prefix plus payload, then flushes.
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
+/// Appends one encoded frame — length prefix plus payload — to `out`.
+/// The one frame encoder: [`write_frame`] and the server's event loop
+/// both build their bytes here.
+pub fn append_frame(out: &mut Vec<u8>, payload: &[u8]) -> io::Result<()> {
     let len = u32::try_from(payload.len())
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame too large"))?;
-    write_full(w, &len.to_be_bytes())?;
-    write_full(w, payload)?;
+    out.reserve(4 + payload.len());
+    out.extend_from_slice(&len.to_be_bytes());
+    out.extend_from_slice(payload);
+    Ok(())
+}
+
+/// Writes one frame, then flushes. The prefix and payload go out in a
+/// single write: split across two, a small TCP frame waits on Nagle's
+/// algorithm for the peer's delayed ACK (about 40 ms per request).
+pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
+    let mut frame = Vec::new();
+    append_frame(&mut frame, payload)?;
+    write_full(w, &frame)?;
     w.flush()
 }
 
@@ -213,6 +226,40 @@ mod tests {
             b"resilient payload"
         );
         assert!(read_frame(&mut r, MAX_FRAME_BYTES).unwrap().is_none());
+    }
+
+    /// Counts `write` calls and accepts every byte offered.
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_goes_out_in_one_write() {
+        let payload = b"{\"op\":\"ping\"}";
+        let mut w = CountingWriter {
+            writes: 0,
+            bytes: Vec::new(),
+        };
+        write_frame(&mut w, payload).unwrap();
+        assert_eq!(w.writes, 1, "prefix and payload share one write");
+        let mut encoded = Vec::new();
+        append_frame(&mut encoded, payload).unwrap();
+        assert_eq!(w.bytes, encoded);
+        assert_eq!(encoded[..4], (payload.len() as u32).to_be_bytes());
+        assert_eq!(&encoded[4..], payload);
     }
 
     #[test]

@@ -18,10 +18,12 @@
 //!   backpressure signal;
 //! - [`metrics`] — lock-free counters plus per-phase latency windows;
 //! - [`signal`] — SIGINT/SIGTERM to a drain flag, no `libc` crate;
-//! - [`server`] — job routing, the worker pool, timeouts, graceful
-//!   drain, and the threaded fallback front-end;
-//! - `event` (Linux) — the readiness-driven epoll front-end that owns
+//! - [`server`] — job routing, the worker pool, timeouts, and graceful
+//!   drain;
+//! - `event` — the one network front-end: an event loop that owns
 //!   every connection's I/O on one thread;
+//! - `readiness` — the loop's level-triggered readiness set: epoll on
+//!   Linux, `poll(2)` on every other unix (`bivd` serves on unix only);
 //! - [`client`] — the blocking client `bivc --remote` is built on;
 //! - [`cluster`] — the membership view every server answers `members`
 //!   with, and the hook a fleet agent plugs in.
@@ -32,12 +34,12 @@
 //! (see [`server`]'s module docs for how the stats line is replayed
 //! cold).
 
-#![deny(unsafe_code)] // `signal::imp` opts back in, narrowly.
+#![deny(unsafe_code)] // `signal::imp` and the readiness shims opt back in, narrowly.
 #![warn(missing_docs)]
 
 pub mod client;
 pub mod cluster;
-#[cfg(target_os = "linux")]
+#[cfg(unix)]
 mod event;
 mod faults;
 pub mod frame;
@@ -46,6 +48,8 @@ pub mod metrics;
 pub mod net;
 pub mod pool;
 pub mod proto;
+#[cfg(unix)]
+mod readiness;
 pub mod server;
 pub mod signal;
 
@@ -54,4 +58,4 @@ pub use cluster::{ClusterHandle, ClusterHook, Member, MemberState, View};
 pub use json::Json;
 pub use net::{Conn, Endpoint, Listener};
 pub use proto::{AnalyzeFile, FileError, FleetFile, ReplicaEntry, Request, Response};
-pub use server::{NetMode, ServeSummary, Server, ServerConfig};
+pub use server::{ServeSummary, Server, ServerConfig};

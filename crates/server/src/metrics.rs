@@ -77,7 +77,7 @@ pub struct Metrics {
     /// Jobs whose analysis panicked inside a worker; each is answered
     /// with an `internal` error response, never dropped.
     pub worker_panics: AtomicU64,
-    /// Worker threads that died and were replaced by the accept loop.
+    /// Worker threads that died and were replaced by the event loop.
     pub workers_respawned: AtomicU64,
     /// Summaries committed from replica write-through pushes (the
     /// receiving side of R-way replication).

@@ -136,7 +136,7 @@ impl Listener {
         }
     }
 
-    /// Switches the accept loop between blocking and polling mode.
+    /// Switches accepting between blocking and readiness-driven mode.
     pub fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
         match self {
             #[cfg(unix)]
@@ -150,7 +150,7 @@ impl Listener {
         match self {
             #[cfg(unix)]
             Listener::Unix(l) => l.accept().map(|(s, _)| Conn::Unix(s)),
-            Listener::Tcp(l) => l.accept().map(|(s, _)| Conn::Tcp(s)),
+            Listener::Tcp(l) => l.accept().and_then(|(s, _)| Conn::tcp(s)),
         }
     }
 }
@@ -186,8 +186,16 @@ impl Conn {
                 io::ErrorKind::Unsupported,
                 format!("unix sockets unsupported here ({})", path.display()),
             )),
-            Endpoint::Tcp(addr) => TcpStream::connect(addr).map(Conn::Tcp),
+            Endpoint::Tcp(addr) => TcpStream::connect(addr).and_then(Conn::tcp),
         }
+    }
+
+    /// Wraps a TCP stream with Nagle's algorithm off. Every message is
+    /// one whole frame the peer waits on, so holding a small frame back
+    /// for an ACK only adds latency.
+    fn tcp(stream: TcpStream) -> io::Result<Conn> {
+        stream.set_nodelay(true)?;
+        Ok(Conn::Tcp(stream))
     }
 
     /// Dials the endpoint with a bound on how long the connect may
@@ -205,7 +213,7 @@ impl Conn {
                         format!("endpoint resolves to no address: {addr}"),
                     )
                 })?;
-                TcpStream::connect_timeout(&resolved, timeout).map(Conn::Tcp)
+                TcpStream::connect_timeout(&resolved, timeout).and_then(Conn::tcp)
             }
             other => Conn::connect(other),
         }
@@ -294,6 +302,23 @@ mod tests {
             Endpoint::parse("unix:/a/b"),
             Endpoint::Unix(PathBuf::from("/a/b"))
         );
+    }
+
+    #[test]
+    fn tcp_conns_are_dialed_and_accepted_with_nodelay() {
+        let listener = Listener::bind(&Endpoint::Tcp("127.0.0.1:0".into())).unwrap();
+        let endpoint = Endpoint::parse(&listener.bound_endpoint());
+        let nodelay = |conn: &Conn| match conn {
+            Conn::Tcp(s) => s.nodelay().unwrap(),
+            #[cfg(unix)]
+            Conn::Unix(_) => panic!("dialed a TCP endpoint"),
+        };
+        let dialed = Conn::connect(&endpoint).unwrap();
+        assert!(nodelay(&dialed), "Conn::connect");
+        assert!(nodelay(&listener.accept().unwrap()), "Listener::accept");
+        let dialed = Conn::connect_timeout(&endpoint, Duration::from_secs(5)).unwrap();
+        assert!(nodelay(&dialed), "Conn::connect_timeout");
+        assert!(nodelay(&listener.accept().unwrap()), "Listener::accept");
     }
 
     #[cfg(unix)]

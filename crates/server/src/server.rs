@@ -1,21 +1,18 @@
 //! The resident analysis server.
 //!
-//! Two front-ends feed one worker pool:
+//! One front-end feeds one worker pool:
 //!
 //! ```text
-//!  event loop (default on Linux: epoll owns every connection's I/O)
-//!      ├─ ping / stats / shutdown: answered inline from the loop
-//!      └─ analyze / preload: bounded queue ── worker pool ── shared
-//!         StructuralCache ── completion queue ── event loop writes
-//!
-//!  accept loop (--net-threaded, and non-Linux): thread per connection
-//!      ├─ ping / stats / shutdown: answered inline
-//!      └─ analyze: bounded queue ── worker pool ── mpsc reply
+//!  event loop (one thread owns every connection's I/O; epoll on
+//!  Linux, poll(2) on other unix)
+//!      ├─ ping / stats / shutdown / members / gossip: answered inline
+//!      └─ analyze / preload / replicate: bounded queue ── worker pool
+//!         ── shared cache ── completion queue + waker ── loop writes
 //! ```
 //!
-//! The two modes answer byte-identical responses — the threaded mode
-//! exists for differential testing and as the portable fallback; see
-//! [`crate::event`] for the readiness-driven implementation.
+//! See `crate::event` for the connection state machine and
+//! `crate::readiness` for the two readiness backends. Off unix,
+//! [`Server::run`] refuses to serve.
 //!
 //! Design rules, in order:
 //!
@@ -27,18 +24,20 @@
 //!    `retry_after_ms` hint immediately; the server never buffers
 //!    unbounded work.
 //! 3. **Bounded everything** — requests carry a wall-clock timeout (the
-//!    handler answers `timeout` and the worker's late result is
-//!    discarded, not the worker), reads poll so drain cannot hang on an
-//!    idle client, and drain itself grants a grace period per
-//!    connection.
+//!    loop answers `timeout` and the worker's late result is discarded,
+//!    not the worker), the loop wakes at least once per poll interval so
+//!    drain cannot hang on an idle client, and drain itself grants a
+//!    grace period per connection.
 //! 4. **No dropped accepted work** — a request that was queued is
 //!    always analyzed and answered, including during drain; requests
 //!    arriving after drain began get an explicit `draining` error.
 
-use std::io::{self, Read};
+#![cfg_attr(not(unix), allow(dead_code))]
+
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use biv_core::{
@@ -50,9 +49,11 @@ use biv_ir::Function;
 use biv_store::{Store, StoreOptions, TieredCache};
 
 use crate::cluster::{ClusterHandle, View};
-use crate::frame::{write_frame, MAX_FRAME_BYTES};
+#[cfg(unix)]
+pub(crate) use crate::event::Reply;
+use crate::frame::MAX_FRAME_BYTES;
 use crate::metrics::{Metrics, PhaseSample, ShardInfo};
-use crate::net::{Conn, Endpoint, Listener};
+use crate::net::{Endpoint, Listener};
 use crate::pool::{JobQueue, PushError};
 use crate::proto::{AnalyzeFile, FileError, FleetFile, ReplicaEntry, Request, Response};
 
@@ -72,7 +73,8 @@ pub struct ServerConfig {
     pub request_timeout: Duration,
     /// Largest accepted frame payload.
     pub max_frame_bytes: usize,
-    /// Accept-loop and idle-read poll interval.
+    /// Longest the event loop sleeps between checks of the shutdown
+    /// flag.
     pub poll_interval: Duration,
     /// How long a mid-frame read may continue once drain has begun.
     pub drain_grace: Duration,
@@ -90,35 +92,11 @@ pub struct ServerConfig {
     pub shard_id: u32,
     /// The fleet size this server belongs to; `1` outside any fleet.
     pub shard_count: u32,
-    /// Which network front-end owns connection I/O.
-    pub net_mode: NetMode,
     /// The membership/replication agent, when this server is a fleet
     /// member started with peers. `None` answers `members` with a
     /// one-member view of this server ([`View::single`]), `gossip` with
     /// a `no-cluster` error, and replicates nothing.
     pub cluster: Option<ClusterHandle>,
-}
-
-/// The server's network front-end.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NetMode {
-    /// Readiness-driven epoll event loop (Linux). On other platforms
-    /// this silently falls back to [`NetMode::Threaded`].
-    Event,
-    /// Blocking accept loop with one handler thread per connection
-    /// (`--net-threaded`) — the portable fallback and the differential
-    /// baseline for the event loop.
-    Threaded,
-}
-
-impl Default for NetMode {
-    fn default() -> NetMode {
-        if cfg!(target_os = "linux") {
-            NetMode::Event
-        } else {
-            NetMode::Threaded
-        }
-    }
 }
 
 impl ServerConfig {
@@ -138,7 +116,6 @@ impl ServerConfig {
             cache_dir: None,
             shard_id: 0,
             shard_count: 1,
-            net_mode: NetMode::default(),
             cluster: None,
         }
     }
@@ -169,21 +146,15 @@ impl std::fmt::Display for ServeSummary {
     }
 }
 
-/// Where a worker delivers a finished response. The threaded front-end
-/// blocks a handler thread on an mpsc receiver; the event loop hands
-/// workers a completion-queue sink instead (see [`crate::event`]).
-pub(crate) trait ReplySink: Send + Sync {
-    /// Delivers the response. `false` means the requester is already
-    /// gone (timed out, connection died) — the caller counts the result
-    /// as late.
-    fn send(&self, response: Response) -> bool;
-}
+/// Off unix nothing is served (see [`Server::run`]), so no job ever
+/// carries a reply.
+#[cfg(not(unix))]
+pub(crate) enum Reply {}
 
-struct ChannelSink(mpsc::Sender<Response>);
-
-impl ReplySink for ChannelSink {
-    fn send(&self, response: Response) -> bool {
-        self.0.send(response).is_ok()
+#[cfg(not(unix))]
+impl Reply {
+    pub(crate) fn send(&self, _response: Response) {
+        match *self {}
     }
 }
 
@@ -211,11 +182,10 @@ pub(crate) enum JobKind {
 pub(crate) struct Job {
     pub(crate) kind: JobKind,
     pub(crate) submitted: Instant,
-    pub(crate) reply: Arc<dyn ReplySink>,
+    pub(crate) reply: Reply,
 }
 
-/// State shared by the front-end (accept loop or event loop), handlers,
-/// and workers.
+/// State shared by the event loop and the workers.
 pub(crate) struct Shared<'a> {
     pub(crate) config: &'a ServerConfig,
     /// The bound endpoint, advertised in the one-member view.
@@ -229,8 +199,8 @@ pub(crate) struct Shared<'a> {
 }
 
 impl<'a> Shared<'a> {
-    /// Opens the cache backend and assembles the shared state both
-    /// front-ends serve from.
+    /// Opens the cache backend and assembles the shared state the loop
+    /// and the workers serve from.
     pub(crate) fn open(
         config: &'a ServerConfig,
         listener: &Listener,
@@ -268,9 +238,9 @@ impl<'a> Shared<'a> {
         }
     }
 
-    /// The end-of-drain sequence shared by both front-ends: make the
-    /// store durable, then let the cluster agent announce departure and
-    /// hand the snapshot to the shards absorbing our key ranges.
+    /// The end-of-drain sequence: make the store durable, then let the
+    /// cluster agent announce departure and hand the snapshot to the
+    /// shards absorbing our key ranges.
     pub(crate) fn finish_drain(&self) {
         self.flush_backend();
         if let Some(cluster) = &self.config.cluster {
@@ -325,111 +295,42 @@ impl Server {
     /// [`crate::signal::install`], or a protocol `shutdown` request),
     /// then drains: stops accepting, finishes every queued request,
     /// answers it, and returns the final counters.
+    #[cfg(unix)]
     pub fn run(self, shutdown: &AtomicBool) -> io::Result<ServeSummary> {
-        let Server { listener, config } = self;
-        #[cfg(target_os = "linux")]
-        if config.net_mode == NetMode::Event {
-            return crate::event::run_event(listener, config, shutdown);
-        }
-        run_threaded(listener, config, shutdown)
+        self.run_on::<crate::readiness::Native>(shutdown)
+    }
+
+    /// Serving needs a unix readiness backend; off unix this returns
+    /// [`io::ErrorKind::Unsupported`].
+    #[cfg(not(unix))]
+    pub fn run(self, _shutdown: &AtomicBool) -> io::Result<ServeSummary> {
+        Err(io::Error::new(
+            io::ErrorKind::Unsupported,
+            "bivd serves on unix only",
+        ))
+    }
+
+    /// Serves on readiness backend `P`.
+    #[cfg(unix)]
+    fn run_on<P: crate::readiness::Readiness>(
+        self,
+        shutdown: &AtomicBool,
+    ) -> io::Result<ServeSummary> {
+        crate::event::serve::<P>(self.listener, self.config, shutdown)
     }
 }
 
-/// The blocking front-end: a polling accept loop with one handler
-/// thread per connection.
-fn run_threaded(
-    listener: Listener,
-    config: ServerConfig,
-    shutdown: &AtomicBool,
-) -> io::Result<ServeSummary> {
-    let shared = Shared::open(&config, &listener, shutdown)?;
-    let workers = shared.workers;
-    listener.set_nonblocking(true)?;
-
-    std::thread::scope(|scope| {
-        let shared = &shared;
-        let mut worker_handles = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            worker_handles.push(scope.spawn(move || worker_loop(shared)));
-        }
-
-        let mut handlers = Vec::new();
-        while !shutdown.load(Ordering::Relaxed) {
-            match listener.accept() {
-                Ok(conn) => {
-                    shared.metrics.connections.fetch_add(1, Ordering::Relaxed);
-                    handlers.push(scope.spawn(move || handle_conn(shared, conn)));
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(config.poll_interval);
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => {
-                    // Transient accept failures (EMFILE under load)
-                    // must not kill the daemon; back off and retry.
-                    eprintln!("bivd: accept error: {e}");
-                    std::thread::sleep(config.poll_interval);
-                }
-            }
-            // Finished handler threads are detached; the scope still
-            // guarantees they are joined before `run` returns.
-            if handlers.len() >= 64 {
-                handlers.retain(|h| !h.is_finished());
-            }
-            // Replace any worker that died. While the server is
-            // accepting, the queue is open, so a finished worker
-            // thread can only mean a panic escaped the per-job
-            // catch (e.g. the injected `worker.die` fault). The
-            // stranded client was already answered by the worker's
-            // reply guard; here we restore pool capacity.
-            for slot in worker_handles.iter_mut() {
-                if slot.is_finished() {
-                    let fresh = scope.spawn(move || worker_loop(shared));
-                    let dead = std::mem::replace(slot, fresh);
-                    let _ = dead.join(); // Err(payload) is expected here
-                    shared
-                        .metrics
-                        .workers_respawned
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
-
-        // Drain: stop accepting (close + unlink the endpoint so new
-        // connects fail fast), let every handler finish its in-flight
-        // request, then release the workers once the queue is empty.
-        drop(listener);
-        if let Endpoint::Unix(path) = &config.endpoint {
-            std::fs::remove_file(path).ok();
-        }
-        for handler in handlers {
-            let _ = handler.join();
-        }
-        shared.queue.close();
-        for worker in worker_handles {
-            let _ = worker.join();
-        }
-        // Every queued request is answered and the workers are
-        // gone: make the store durable (and run the departure
-        // handoff, if this server is a fleet member) before
-        // reporting the drain.
-        shared.finish_drain();
-
-        Ok(shared.summary())
-    })
-}
-
 /// One worker: pop, parse, classify through the shared cache, render,
-/// reply. A send failure means the request already timed out or its
-/// connection died — the result is discarded and the worker moves on
-/// (this is the whole worker-recovery story: workers never carry state
-/// from one request into the next).
+/// reply. If the request already timed out or its connection died, the
+/// event loop discards the result and counts it late; the worker moves
+/// on (this is the whole worker-recovery story: workers never carry
+/// state from one request into the next).
 ///
 /// Each job runs inside `catch_unwind`, so a panic in analysis answers
 /// that one request with an `internal` error and the worker keeps
 /// serving. A panic *outside* the catch (the injected `worker.die`
 /// site, or a bug in the dispatch code itself) kills the thread — the
-/// [`ReplyGuard`] still answers the client mid-unwind, and the accept
+/// [`ReplyGuard`] still answers the client mid-unwind, and the event
 /// loop respawns the worker.
 pub(crate) fn worker_loop(shared: &Shared<'_>) {
     let opts = BatchOptions {
@@ -442,7 +343,7 @@ pub(crate) fn worker_loop(shared: &Shared<'_>) {
     };
     while let Some(job) = shared.queue.pop() {
         let guard = ReplyGuard {
-            reply: job.reply.clone(),
+            reply: &job.reply,
             metrics: &shared.metrics,
         };
         crate::faults::maybe_panic("worker.die");
@@ -467,26 +368,24 @@ pub(crate) fn worker_loop(shared: &Shared<'_>) {
                 internal_error("analysis panicked while serving the request")
             }
         };
-        if !job.reply.send(response) {
-            shared.metrics.late_results.fetch_add(1, Ordering::Relaxed);
-        }
+        job.reply.send(response);
     }
 }
 
 /// Answers a job's client if the worker thread unwinds past it, so even
-/// a panic outside the per-job catch never strands a waiting handler
+/// a panic outside the per-job catch never strands a waiting client
 /// until its timeout. Dropped without a panic in flight, it does
 /// nothing.
-struct ReplyGuard<'m> {
-    reply: Arc<dyn ReplySink>,
-    metrics: &'m Metrics,
+struct ReplyGuard<'j> {
+    reply: &'j Reply,
+    metrics: &'j Metrics,
 }
 
 impl Drop for ReplyGuard<'_> {
     fn drop(&mut self) {
         if std::thread::panicking() {
             self.metrics.worker_panics.fetch_add(1, Ordering::Relaxed);
-            let _ = self.reply.send(internal_error(
+            self.reply.send(internal_error(
                 "worker thread died while serving the request",
             ));
         }
@@ -746,69 +645,6 @@ fn process_replicate(shared: &Shared<'_>, entries: &[ReplicaEntry]) -> Response 
     Response::ReplicateAck { stored }
 }
 
-/// Serves one connection until the peer closes, an error occurs, or
-/// drain begins.
-fn handle_conn(shared: &Shared<'_>, mut conn: Conn) {
-    if conn
-        .set_read_timeout(Some(shared.config.poll_interval))
-        .is_err()
-    {
-        return;
-    }
-    loop {
-        let draining = shared.shutdown.load(Ordering::Relaxed);
-        let payload = match read_frame_polling(shared, &mut conn) {
-            Ok(Some(payload)) => payload,
-            Ok(None) | Err(_) => return,
-        };
-        // A frame read after drain was observed is answered, not served:
-        // the client gets an explicit rejection instead of a hang or a
-        // silent drop, and the connection closes.
-        if draining {
-            let _ = respond(&mut conn, &draining_response());
-            return;
-        }
-        let request = match Request::decode(&payload) {
-            Ok(request) => {
-                shared.metrics.requests.fetch_add(1, Ordering::Relaxed);
-                request
-            }
-            Err(e) => {
-                shared.metrics.bad_requests.fetch_add(1, Ordering::Relaxed);
-                let ok = respond(
-                    &mut conn,
-                    &Response::Error {
-                        kind: "bad-request".into(),
-                        message: e.to_string(),
-                    },
-                );
-                if ok.is_err() {
-                    return;
-                }
-                continue;
-            }
-        };
-        let sent = match route_request(shared, request) {
-            Routed::Inline { response, shutdown } => {
-                // For shutdown: ack first so the requester sees the
-                // drain begin, then flip the flag the front-end polls.
-                let sent = respond(&mut conn, &response);
-                if shutdown {
-                    shared.shutdown.store(true, Ordering::Relaxed);
-                }
-                sent
-            }
-            Routed::Queue(kind) => {
-                let response = serve_job(shared, kind);
-                respond(&mut conn, &response)
-            }
-        };
-        if sent.is_err() {
-            return;
-        }
-    }
-}
-
 /// How a decoded request is served.
 pub(crate) enum Routed {
     /// Answered without touching the worker pool.
@@ -823,8 +659,7 @@ pub(crate) enum Routed {
 }
 
 /// Classifies a request: inline (ping/stats/shutdown and membership
-/// ops) or queued. Shared by both front-ends so they serve identical
-/// semantics.
+/// ops) or queued.
 pub(crate) fn route_request(shared: &Shared<'_>, request: Request) -> Routed {
     let inline = |response| Routed::Inline {
         response,
@@ -856,9 +691,9 @@ pub(crate) fn route_request(shared: &Shared<'_>, request: Request) -> Routed {
             invariants,
         }),
         Request::Preload { dir } => Routed::Queue(JobKind::Preload { dir }),
-        // Membership ops are answered inline from the event/accept
-        // loop: a gossip merge is a small in-memory operation and must
-        // stay responsive even when the worker pool is saturated —
+        // Membership ops are answered inline from the event loop: a
+        // gossip merge is a small in-memory operation and must stay
+        // responsive even when the worker pool is saturated —
         // heartbeats delayed behind analyze jobs would look like
         // failures.
         Request::Gossip { from, view } => inline(match &shared.config.cluster {
@@ -891,11 +726,7 @@ pub(crate) fn route_request(shared: &Shared<'_>, request: Request) -> Routed {
 /// Submits a job to the bounded queue without waiting for its result.
 /// `Err` carries the response to send instead (busy backpressure or the
 /// draining rejection).
-pub(crate) fn submit_job(
-    shared: &Shared<'_>,
-    kind: JobKind,
-    reply: Arc<dyn ReplySink>,
-) -> Result<(), Response> {
+pub(crate) fn submit_job(shared: &Shared<'_>, kind: JobKind, reply: Reply) -> Result<(), Response> {
     let analyze = !matches!(kind, JobKind::Preload { .. });
     // Injected queue-full storm: reject exactly as a real full queue
     // would, *before* the request counts as accepted, so the
@@ -931,8 +762,7 @@ pub(crate) fn submit_job(
     }
 }
 
-/// The rejection for a frame that arrived after drain began — identical
-/// from both front-ends.
+/// The rejection for a frame that arrived after drain began.
 pub(crate) fn draining_response() -> Response {
     Response::Error {
         kind: "draining".into(),
@@ -940,7 +770,7 @@ pub(crate) fn draining_response() -> Response {
     }
 }
 
-/// The timeout response, shared by both front-ends so the bytes match.
+/// The timeout response; counts the timeout.
 pub(crate) fn timeout_response(shared: &Shared<'_>) -> Response {
     shared.metrics.timeouts.fetch_add(1, Ordering::Relaxed);
     Response::Error {
@@ -949,23 +779,6 @@ pub(crate) fn timeout_response(shared: &Shared<'_>) -> Response {
             "request exceeded {} ms (queue wait included); the result will be discarded",
             shared.config.request_timeout.as_millis()
         ),
-    }
-}
-
-/// Submits a job to the pool and waits, bounded by the request timeout
-/// (the threaded front-end's blocking path).
-fn serve_job(shared: &Shared<'_>, kind: JobKind) -> Response {
-    let (reply, result) = mpsc::channel();
-    if let Err(rejection) = submit_job(shared, kind, Arc::new(ChannelSink(reply))) {
-        return rejection;
-    }
-    match result.recv_timeout(shared.config.request_timeout) {
-        Ok(response) => response,
-        Err(mpsc::RecvTimeoutError::Timeout) => timeout_response(shared),
-        Err(mpsc::RecvTimeoutError::Disconnected) => Response::Error {
-            kind: "internal".into(),
-            message: "worker dropped the request".into(),
-        },
     }
 }
 
@@ -1005,104 +818,48 @@ fn stats_json(shared: &Shared<'_>) -> crate::json::Json {
     stats
 }
 
-fn respond(conn: &mut Conn, response: &Response) -> io::Result<()> {
-    write_frame(conn, &response.encode())
-}
-
-/// Reads one frame from a connection whose read timeout is the poll
-/// interval, so drain is always observed within one poll:
-///
-/// - idle (no prefix byte yet) + drain → clean close (`Ok(None)`);
-/// - mid-frame + drain → the peer gets `drain_grace` to finish the
-///   frame, then the read fails and the connection closes.
-fn read_frame_polling(shared: &Shared<'_>, conn: &mut Conn) -> io::Result<Option<Vec<u8>>> {
-    let mut grace_deadline: Option<Instant> = None;
-    let mut prefix = [0u8; 4];
-    if !read_full_polling(shared, conn, &mut prefix, true, &mut grace_deadline)? {
-        return Ok(None);
-    }
-    let len = u32::from_be_bytes(prefix) as usize;
-    if len > shared.config.max_frame_bytes {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!(
-                "frame of {len} bytes exceeds the {}-byte limit",
-                shared.config.max_frame_bytes
-            ),
-        ));
-    }
-    let mut payload = vec![0u8; len];
-    read_full_polling(shared, conn, &mut payload, false, &mut grace_deadline)?;
-    Ok(Some(payload))
-}
-
-/// Fills `buf`, retrying poll timeouts. Returns `false` only when
-/// `eof_ok` and the stream ended (or drain began) before the first
-/// byte.
-fn read_full_polling(
-    shared: &Shared<'_>,
-    conn: &mut Conn,
-    buf: &mut [u8],
-    eof_ok: bool,
-    grace_deadline: &mut Option<Instant>,
-) -> io::Result<bool> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match conn.read(&mut buf[filled..]) {
-            Ok(0) => {
-                if eof_ok && filled == 0 {
-                    return Ok(false);
-                }
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "stream ended mid-frame",
-                ));
-            }
-            Ok(n) => filled += n,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                if shared.shutdown.load(Ordering::Relaxed) {
-                    if eof_ok && filled == 0 {
-                        // Idle connection during drain: close cleanly.
-                        return Ok(false);
-                    }
-                    let deadline = *grace_deadline
-                        .get_or_insert_with(|| Instant::now() + shared.config.drain_grace);
-                    if Instant::now() >= deadline {
-                        return Err(io::Error::new(
-                            io::ErrorKind::TimedOut,
-                            "drain grace expired mid-frame",
-                        ));
-                    }
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(true)
-}
-
-#[cfg(test)]
+#[cfg(all(test, unix))]
 mod tests {
     use super::*;
     use crate::client::Client;
+    use crate::frame::{append_frame, read_frame, write_frame};
     use crate::json::Json;
+    use crate::net::Conn;
+    use crate::readiness::{Native, PollSet};
+    use std::io::Write;
     use std::sync::atomic::AtomicBool;
 
     const SRC: &str = "func f(n) { j = 1 L1: for i = 1 to n { j = j + i A[j] = i } }\n";
 
-    fn spawn_server(mut config: ServerConfig) -> (String, std::thread::JoinHandle<ServeSummary>) {
+    /// Serves a bound server on one readiness backend.
+    type Runner = fn(Server, &'static AtomicBool) -> io::Result<ServeSummary>;
+
+    /// The platform's backend (epoll on Linux) and the `poll(2)` one,
+    /// which serves in production on every other unix.
+    const BACKENDS: [(&str, Runner); 2] = [
+        ("native", |server, flag| server.run_on::<Native>(flag)),
+        ("poll", |server, flag| server.run_on::<PollSet>(flag)),
+    ];
+
+    fn spawn_server(config: ServerConfig) -> (String, std::thread::JoinHandle<ServeSummary>) {
+        spawn_server_on(BACKENDS[0].1, config)
+    }
+
+    fn spawn_server_on(
+        run: Runner,
+        mut config: ServerConfig,
+    ) -> (String, std::thread::JoinHandle<ServeSummary>) {
         config.endpoint = Endpoint::Tcp("127.0.0.1:0".into());
         let server = Server::bind(config).expect("bind 127.0.0.1:0");
         let endpoint = server.bound_endpoint();
         let flag: &'static AtomicBool = Box::leak(Box::new(AtomicBool::new(false)));
-        let handle = std::thread::spawn(move || server.run(flag).expect("server run"));
+        let handle = std::thread::spawn(move || run(server, flag).expect("server run"));
         (endpoint, handle)
+    }
+
+    fn read_response(conn: &mut Conn) -> Response {
+        let payload = read_frame(conn, MAX_FRAME_BYTES).unwrap().unwrap();
+        Response::decode(&payload).unwrap()
     }
 
     fn files(n: usize) -> Vec<AnalyzeFile> {
@@ -1314,10 +1071,16 @@ mod tests {
 
     #[test]
     fn request_timeout_recovers_the_worker() {
+        for (name, run) in BACKENDS {
+            request_timeout_recovers_the_worker_on(name, run);
+        }
+    }
+
+    fn request_timeout_recovers_the_worker_on(name: &str, run: Runner) {
         let mut config = ServerConfig::new(Endpoint::Tcp(String::new()));
         config.workers = 1;
         config.request_timeout = Duration::ZERO;
-        let (endpoint, handle) = spawn_server(config);
+        let (endpoint, handle) = spawn_server_on(run, config);
         let mut client = Client::connect(&Endpoint::parse(&endpoint)).unwrap();
         let response = client
             .request(&Request::Analyze {
@@ -1327,9 +1090,9 @@ mod tests {
             })
             .unwrap();
         let Response::Error { kind, .. } = response else {
-            panic!("expected timeout, got {response:?}");
+            panic!("{name}: expected timeout, got {response:?}");
         };
-        assert_eq!(kind, "timeout");
+        assert_eq!(kind, "timeout", "{name}");
         // The worker discards the late result and keeps serving: give it
         // a moment, then confirm with a normal-timeout server op.
         let deadline = Instant::now() + Duration::from_secs(10);
@@ -1347,38 +1110,36 @@ mod tests {
             if late >= 1 {
                 break;
             }
-            assert!(Instant::now() < deadline, "late result never recorded");
+            assert!(
+                Instant::now() < deadline,
+                "{name}: late result never recorded"
+            );
             std::thread::sleep(Duration::from_millis(20));
         }
         client.request(&Request::Shutdown).unwrap();
         let summary = handle.join().unwrap();
-        assert_eq!(summary.timeouts, 1);
+        assert_eq!(summary.timeouts, 1, "{name}");
     }
 
     #[test]
     fn bad_frames_answer_bad_request_and_keep_the_connection() {
-        let mut config = ServerConfig::new(Endpoint::Tcp(String::new()));
-        config.workers = 1;
-        let (endpoint, handle) = spawn_server(config);
-        let endpoint = Endpoint::parse(&endpoint);
-        let mut conn = Conn::connect(&endpoint).unwrap();
-        write_frame(&mut conn, b"this is not json").unwrap();
-        let payload = crate::frame::read_frame(&mut conn, MAX_FRAME_BYTES)
-            .unwrap()
-            .unwrap();
-        let response = Response::decode(&payload).unwrap();
-        let Response::Error { kind, .. } = response else {
-            panic!("expected error, got {response:?}");
-        };
-        assert_eq!(kind, "bad-request");
-        // The same connection still serves a valid request.
-        write_frame(&mut conn, &Request::Ping.encode()).unwrap();
-        let payload = crate::frame::read_frame(&mut conn, MAX_FRAME_BYTES)
-            .unwrap()
-            .unwrap();
-        assert_eq!(Response::decode(&payload).unwrap(), Response::Pong);
-        write_frame(&mut conn, &Request::Shutdown.encode()).unwrap();
-        handle.join().unwrap();
+        for (name, run) in BACKENDS {
+            let mut config = ServerConfig::new(Endpoint::Tcp(String::new()));
+            config.workers = 1;
+            let (endpoint, handle) = spawn_server_on(run, config);
+            let mut conn = Conn::connect(&Endpoint::parse(&endpoint)).unwrap();
+            write_frame(&mut conn, b"this is not json").unwrap();
+            let response = read_response(&mut conn);
+            let Response::Error { kind, .. } = response else {
+                panic!("{name}: expected error, got {response:?}");
+            };
+            assert_eq!(kind, "bad-request", "{name}");
+            // The same connection still serves a valid request.
+            write_frame(&mut conn, &Request::Ping.encode()).unwrap();
+            assert_eq!(read_response(&mut conn), Response::Pong, "{name}");
+            write_frame(&mut conn, &Request::Shutdown.encode()).unwrap();
+            handle.join().unwrap();
+        }
     }
 
     #[test]
@@ -1603,64 +1364,172 @@ mod tests {
     }
 
     #[test]
-    fn threaded_and_event_front_ends_answer_identical_bytes() {
-        let run = |mode: NetMode| {
-            let mut config = ServerConfig::new(Endpoint::Tcp(String::new()));
-            config.workers = 2;
-            config.net_mode = mode;
-            let (endpoint, handle) = spawn_server(config);
-            let mut client = Client::connect(&Endpoint::parse(&endpoint)).unwrap();
-            let response = client
-                .request(&Request::Analyze {
-                    files: files(3),
-                    cache_cap: Some(2),
-                    invariants: false,
-                })
-                .unwrap();
-            client.request(&Request::Shutdown).unwrap();
-            handle.join().unwrap();
-            response
-        };
-        let threaded = run(NetMode::Threaded);
-        let event = run(NetMode::Event);
-        assert_eq!(threaded, event, "front-ends must answer the same bytes");
-    }
-
-    #[test]
-    fn pipelined_frames_are_answered_in_order() {
-        let mut config = ServerConfig::new(Endpoint::Tcp(String::new()));
-        config.workers = 1;
-        let (endpoint, handle) = spawn_server(config);
-        let endpoint = Endpoint::parse(&endpoint);
-        let mut conn = Conn::connect(&endpoint).unwrap();
-        // Write all three requests before reading anything: the event
-        // loop must defer decoding while a job is in flight and still
-        // answer strictly in request order.
-        write_frame(&mut conn, &Request::Ping.encode()).unwrap();
-        write_frame(
-            &mut conn,
-            &Request::Analyze {
-                files: files(1),
+    fn epoll_and_poll_backends_answer_identical_bytes() {
+        let requests = [
+            Request::Ping.encode(),
+            Request::Analyze {
+                files: files(3),
+                cache_cap: Some(2),
+                invariants: false,
+            }
+            .encode(),
+            Request::Analyze {
+                files: files(3),
+                cache_cap: None,
+                invariants: true,
+            }
+            .encode(),
+            Request::AnalyzeFleet {
+                files: files(2),
                 cache_cap: None,
                 invariants: false,
             }
             .encode(),
-        )
-        .unwrap();
-        write_frame(&mut conn, &Request::Stats.encode()).unwrap();
-        let mut read = || {
-            let payload = crate::frame::read_frame(&mut conn, MAX_FRAME_BYTES)
-                .unwrap()
-                .unwrap();
-            Response::decode(&payload).unwrap()
-        };
-        assert_eq!(read(), Response::Pong);
-        assert!(matches!(read(), Response::Analyze { .. }));
-        assert!(matches!(read(), Response::Stats(_)));
-        drop(conn);
-        let mut client = Client::connect(&endpoint).unwrap();
-        client.request(&Request::Shutdown).unwrap();
-        handle.join().unwrap();
+            b"this is not json".to_vec(),
+            Request::Preload {
+                dir: "/nonexistent/biv-preload-source".into(),
+            }
+            .encode(),
+        ];
+        let answers: Vec<Vec<Vec<u8>>> = BACKENDS
+            .iter()
+            .map(|&(name, run)| {
+                let mut config = ServerConfig::new(Endpoint::Tcp(String::new()));
+                config.workers = 2;
+                let (endpoint, handle) = spawn_server_on(run, config);
+                let mut conn = Conn::connect(&Endpoint::parse(&endpoint)).unwrap();
+                let answers = requests
+                    .iter()
+                    .map(|request| {
+                        write_frame(&mut conn, request).unwrap();
+                        read_frame(&mut conn, MAX_FRAME_BYTES)
+                            .unwrap()
+                            .unwrap_or_else(|| panic!("{name}: closed before answering"))
+                    })
+                    .collect();
+                write_frame(&mut conn, &Request::Shutdown.encode()).unwrap();
+                handle.join().unwrap();
+                answers
+            })
+            .collect();
+        assert_eq!(
+            answers[0], answers[1],
+            "readiness backends must answer the same bytes"
+        );
+    }
+
+    #[test]
+    fn pipelined_frames_are_answered_in_order() {
+        for (name, run) in BACKENDS {
+            let mut config = ServerConfig::new(Endpoint::Tcp(String::new()));
+            config.workers = 1;
+            let (endpoint, handle) = spawn_server_on(run, config);
+            let endpoint = Endpoint::parse(&endpoint);
+            let mut conn = Conn::connect(&endpoint).unwrap();
+            // Write all three requests before reading anything: the
+            // loop must defer decoding while a job is in flight and
+            // still answer strictly in request order.
+            write_frame(&mut conn, &Request::Ping.encode()).unwrap();
+            write_frame(
+                &mut conn,
+                &Request::Analyze {
+                    files: files(1),
+                    cache_cap: None,
+                    invariants: false,
+                }
+                .encode(),
+            )
+            .unwrap();
+            write_frame(&mut conn, &Request::Stats.encode()).unwrap();
+            assert_eq!(read_response(&mut conn), Response::Pong, "{name}");
+            let analyze = read_response(&mut conn);
+            assert!(matches!(analyze, Response::Analyze { .. }), "{name}");
+            let stats = read_response(&mut conn);
+            assert!(matches!(stats, Response::Stats(_)), "{name}");
+            drop(conn);
+            let mut client = Client::connect(&endpoint).unwrap();
+            client.request(&Request::Shutdown).unwrap();
+            handle.join().unwrap();
+        }
+    }
+
+    /// A peer may shut its write side right after its request: it still
+    /// gets the answer, then the server closes. (macOS `poll(2)` reports
+    /// that half-close as a hangup.)
+    #[test]
+    fn half_closed_peer_still_gets_its_answer() {
+        for (name, run) in BACKENDS {
+            let mut config = ServerConfig::new(Endpoint::Tcp(String::new()));
+            config.workers = 1;
+            let (endpoint, handle) = spawn_server_on(run, config);
+            let endpoint = Endpoint::parse(&endpoint);
+            let mut conn = Conn::connect(&endpoint).unwrap();
+            let request = Request::Analyze {
+                files: files(2),
+                cache_cap: None,
+                invariants: false,
+            };
+            write_frame(&mut conn, &request.encode()).unwrap();
+            let Conn::Tcp(stream) = &conn else {
+                unreachable!("dialed a TCP endpoint")
+            };
+            stream.shutdown(std::net::Shutdown::Write).unwrap();
+            let answer = read_response(&mut conn);
+            assert!(matches!(answer, Response::Analyze { .. }), "{name}");
+            assert_eq!(read_frame(&mut conn, MAX_FRAME_BYTES).unwrap(), None);
+            let mut client = Client::connect(&endpoint).unwrap();
+            client.request(&Request::Shutdown).unwrap();
+            handle.join().unwrap();
+        }
+    }
+
+    /// Once drain begins, an idle connection closes at once, a peer
+    /// that finishes its half-sent frame within the grace gets an
+    /// explicit `draining` answer, and a peer that never finishes is
+    /// closed when the grace runs out.
+    #[test]
+    fn drain_answers_or_closes_mid_frame_peers_within_the_grace() {
+        let mut frame = Vec::new();
+        append_frame(&mut frame, &Request::Ping.encode()).unwrap();
+        for (name, run) in BACKENDS {
+            let mut config = ServerConfig::new(Endpoint::Tcp(String::new()));
+            config.workers = 1;
+            config.drain_grace = Duration::from_secs(1);
+            let (endpoint, handle) = spawn_server_on(run, config);
+            let endpoint = Endpoint::parse(&endpoint);
+            let connect = || {
+                let conn = Conn::connect(&endpoint).unwrap();
+                conn.set_read_timeout(Some(Duration::from_secs(30)))
+                    .unwrap();
+                conn
+            };
+            let mut idle = connect();
+            let mut finisher = connect();
+            let mut staller = connect();
+            finisher.write_all(&frame[..3]).unwrap();
+            staller.write_all(&frame[..6]).unwrap();
+            // The partial frames are written before the shutdown, so the
+            // loop has buffered them when drain begins.
+            let mut client = Client::connect(&endpoint).unwrap();
+            assert_eq!(
+                client.request(&Request::Shutdown).unwrap(),
+                Response::ShutdownAck
+            );
+
+            assert_eq!(read_frame(&mut idle, MAX_FRAME_BYTES).unwrap(), None);
+            finisher.write_all(&frame[3..]).unwrap();
+            let Response::Error { kind, .. } = read_response(&mut finisher) else {
+                panic!("{name}: expected the draining rejection");
+            };
+            assert_eq!(kind, "draining", "{name}");
+            assert_eq!(read_frame(&mut finisher, MAX_FRAME_BYTES).unwrap(), None);
+            assert!(
+                !matches!(read_frame(&mut staller, MAX_FRAME_BYTES), Ok(Some(_))),
+                "{name}: a stalled frame is never served"
+            );
+            let summary = handle.join().unwrap();
+            assert_eq!(summary.connections, 4, "{name}");
+        }
     }
 
     #[test]

@@ -4,10 +4,10 @@
 //! this module declares the C library's `signal(2)` entry point
 //! directly — the C library is linked into every Rust binary anyway.
 //! The handler does the only async-signal-safe thing a drain needs:
-//! store a relaxed atomic flag that the accept loop and connection
-//! handlers already poll. glibc's `signal` installs BSD semantics
-//! (`SA_RESTART`), which is fine: every blocking call in the server
-//! carries its own timeout, so nothing needs `EINTR` to wake up.
+//! store a relaxed atomic flag that the event loop already polls.
+//! glibc's `signal` installs BSD semantics (`SA_RESTART`), which is
+//! fine: every blocking call in the server carries its own timeout, so
+//! nothing needs `EINTR` to wake up.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 

@@ -4,8 +4,7 @@
 //! bivd [--socket PATH | --tcp ADDR] [--workers N] [--queue-cap N]
 //!      [--cache-cap N] [--cache-dir PATH] [--timeout-ms N]
 //!      [--fleet shard=K/N] [--peers EP1,EP2,...] [--replicas R]
-//!      [--heartbeat-ms N] [--no-auto-rebalance] [--net-threaded]
-//!      [--budget SPEC] [--faults SPEC]
+//!      [--heartbeat-ms N] [--budget SPEC] [--faults SPEC]
 //! ```
 //!
 //! Listens on a Unix socket (default `$TMPDIR/bivd.sock`) or a TCP
@@ -41,18 +40,18 @@
 //! affected shards when membership changes (join/leave rebalance). The
 //! first shard of a fleet has no one to dial yet: pass `--peers none`.
 //!
-//! On Linux connection I/O runs on a readiness-driven epoll event loop;
-//! `--net-threaded` selects the portable thread-per-connection
-//! front-end instead. Both produce byte-identical responses.
+//! One event loop thread owns every connection's I/O; readiness comes
+//! from epoll on Linux and `poll(2)` on other unix. `bivd` serves on
+//! unix only.
 
 use std::process::ExitCode;
 use std::time::Duration;
 
 use biv::fleet::{AgentConfig, ClusterAgent};
 use biv::server::signal;
-use biv::server::{Endpoint, NetMode, Server, ServerConfig};
+use biv::server::{Endpoint, Server, ServerConfig};
 
-const USAGE: &str = "usage: bivd [--socket PATH | --tcp ADDR] [--workers N] [--queue-cap N] [--cache-cap N] [--cache-dir PATH] [--timeout-ms N] [--fleet shard=K/N] [--peers EP1,EP2,... | --peers none] [--replicas R] [--heartbeat-ms N] [--no-auto-rebalance] [--net-threaded] [--budget time=MS,nodes=N,scc=N,order=N] [--faults seed=N,profile=NAME]";
+const USAGE: &str = "usage: bivd [--socket PATH | --tcp ADDR] [--workers N] [--queue-cap N] [--cache-cap N] [--cache-dir PATH] [--timeout-ms N] [--fleet shard=K/N] [--peers EP1,EP2,... | --peers none] [--replicas R] [--heartbeat-ms N] [--budget time=MS,nodes=N,scc=N,order=N] [--faults seed=N,profile=NAME]";
 
 fn default_socket() -> String {
     std::env::temp_dir()
@@ -69,7 +68,6 @@ struct ClusterOpts {
     seeds: Option<Vec<String>>,
     replicas: Option<u32>,
     heartbeat_ms: Option<u64>,
-    auto_rebalance: bool,
 }
 
 fn parse_args() -> Result<(ServerConfig, ClusterOpts), String> {
@@ -79,7 +77,6 @@ fn parse_args() -> Result<(ServerConfig, ClusterOpts), String> {
         seeds: None,
         replicas: None,
         heartbeat_ms: None,
-        auto_rebalance: true,
     };
     let mut args = std::env::args().skip(1);
     fn set_endpoint(e: Endpoint, endpoint: &mut Option<Endpoint>) -> Result<(), String> {
@@ -138,8 +135,6 @@ fn parse_args() -> Result<(ServerConfig, ClusterOpts), String> {
                 }
                 cluster.heartbeat_ms = Some(ms);
             }
-            "--no-auto-rebalance" => cluster.auto_rebalance = false,
-            "--net-threaded" => config.net_mode = NetMode::Threaded,
             "--budget" => {
                 config.budget = biv::core_analysis::Budget::parse(&value("--budget")?)?;
             }
@@ -149,11 +144,9 @@ fn parse_args() -> Result<(ServerConfig, ClusterOpts), String> {
         }
     }
     config.endpoint = endpoint.unwrap_or(Endpoint::Unix(default_socket().into()));
-    if cluster.seeds.is_none()
-        && (cluster.replicas.is_some() || cluster.heartbeat_ms.is_some() || !cluster.auto_rebalance)
-    {
+    if cluster.seeds.is_none() && (cluster.replicas.is_some() || cluster.heartbeat_ms.is_some()) {
         return Err(
-            "--replicas / --heartbeat-ms / --no-auto-rebalance need --peers (use `--peers none` for the first shard)"
+            "--replicas / --heartbeat-ms need --peers (use `--peers none` for the first shard)"
                 .into(),
         );
     }
@@ -232,7 +225,6 @@ fn main() -> ExitCode {
         let mut agent = AgentConfig::new(shard_id, shard_count, server.bound_endpoint());
         agent.seeds = seeds;
         agent.cache_dir = cache_dir;
-        agent.auto_rebalance = cluster.auto_rebalance;
         if let Some(r) = cluster.replicas {
             agent.replication = r;
         }

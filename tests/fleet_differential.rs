@@ -1,10 +1,8 @@
 //! The fleet serving contract, differentially: a 3-shard `bivd` fleet
 //! reached through `bivc --fleet` must print exactly the bytes a
 //! sequential local `bivc --batch` prints — under concurrent clients,
-//! under either network front-end (`--net-threaded` vs the default
-//! epoll loop), whether the endpoints are listed in order, reversed,
-//! or as the first shard alone, and regardless of how the router fans
-//! batches out.
+//! whether the endpoints are listed in order, reversed, or as the first
+//! shard alone, and regardless of how the router fans batches out.
 //! Also: the epoll front-end must keep serving with ≥10k idle
 //! connections parked on it.
 
@@ -24,7 +22,7 @@ use common::{bivc, bivc_stdout, scratch_dir, write_corpus_files};
 
 /// Spawns one `bivd --tcp 127.0.0.1:0 --fleet shard=K/N` shard process
 /// and returns the child plus the endpoint parsed from its banner.
-fn spawn_tcp_shard(shard: u32, shard_count: u32, extra: &[&str]) -> (Child, String) {
+fn spawn_tcp_shard(shard: u32, shard_count: u32) -> (Child, String) {
     let mut child = Command::new(env!("CARGO_BIN_EXE_bivd"))
         .args([
             "--tcp",
@@ -34,7 +32,6 @@ fn spawn_tcp_shard(shard: u32, shard_count: u32, extra: &[&str]) -> (Child, Stri
             "--workers",
             "2",
         ])
-        .args(extra)
         .stdout(Stdio::null())
         .stderr(Stdio::piped())
         .spawn()
@@ -55,11 +52,11 @@ fn spawn_tcp_shard(shard: u32, shard_count: u32, extra: &[&str]) -> (Child, Stri
     (child, endpoint)
 }
 
-fn spawn_fleet(shard_count: u32, extra: &[&str]) -> (Vec<Child>, String) {
+fn spawn_fleet(shard_count: u32) -> (Vec<Child>, String) {
     let mut children = Vec::new();
     let mut endpoints = Vec::new();
     for shard in 0..shard_count {
-        let (child, endpoint) = spawn_tcp_shard(shard, shard_count, extra);
+        let (child, endpoint) = spawn_tcp_shard(shard, shard_count);
         children.push(child);
         endpoints.push(endpoint);
     }
@@ -87,7 +84,7 @@ fn three_shard_fleet_matches_local_bytes_under_concurrent_clients() {
     let dir_arg = dir.display().to_string();
     let reference = bivc_stdout(&["--batch", &dir_arg]);
 
-    let (children, endpoints) = spawn_fleet(3, &[]);
+    let (children, endpoints) = spawn_fleet(3);
     // Each shard's `members` answer places it on the ring, so the list
     // may come in any order, or name only the first shard: the router
     // then learns nothing of the other two and routes every file to it.
@@ -129,21 +126,6 @@ fn three_shard_fleet_matches_local_bytes_under_concurrent_clients() {
     drain_fleet(children, &endpoints);
 }
 
-/// Shards running the portable thread-per-connection front-end must be
-/// indistinguishable on the wire from the default epoll front-end.
-#[test]
-fn net_threaded_fleet_matches_local_bytes() {
-    let dir = scratch_dir("fleet-threaded");
-    write_corpus_files(&dir, &[21, 22], 8);
-    let dir_arg = dir.display().to_string();
-    let reference = bivc_stdout(&["--batch", &dir_arg]);
-
-    let (children, endpoints) = spawn_fleet(3, &["--net-threaded"]);
-    let fleet = bivc_stdout(&["--fleet", &endpoints, &dir_arg]);
-    assert_eq!(reference, fleet, "--net-threaded fleet diverged");
-    drain_fleet(children, &endpoints);
-}
-
 /// The epoll front-end parks idle connections without dedicating a
 /// thread to each, so ten thousand of them must not impair service.
 /// Skipped (with a note) if the environment's fd limit can't hold that
@@ -151,7 +133,7 @@ fn net_threaded_fleet_matches_local_bytes() {
 #[cfg(target_os = "linux")]
 #[test]
 fn epoll_front_end_serves_with_ten_thousand_idle_connections() {
-    let (mut child, endpoint) = spawn_tcp_shard(0, 1, &[]);
+    let (mut child, endpoint) = spawn_tcp_shard(0, 1);
     let addr = endpoint.strip_prefix("tcp:").expect("tcp endpoint");
 
     let mut idle: Vec<TcpStream> = Vec::with_capacity(10_050);
