@@ -1,9 +1,10 @@
 //! Durable-store benchmark: cold analysis that writes every summary
 //! through to disk, against a warm restart that serves the same corpus
 //! from the persisted record log. The gap is the paper's analysis cost;
-//! the warm number is what a `bivd --cache-dir` restart pays. The
-//! emitted `BENCH_store.json` carries both timings plus the measured
-//! warm disk-hit rate.
+//! the warm number is what a `bivd --cache-dir` restart pays. The open
+//! row times a reopen of a 2,048-record store alone. The emitted
+//! `BENCH_store.json` carries the timings plus the measured warm
+//! disk-hit rate.
 
 use std::cell::Cell;
 use std::path::PathBuf;
@@ -13,7 +14,7 @@ use biv_bench::criterion_group;
 use biv_bench::harness::{BenchmarkId, Criterion, Throughput};
 use biv_bench::report::{self, Baseline};
 use biv_core::{analyze_batch_with_backend, BatchOptions, Budget, CacheBackend};
-use biv_store::{StoreOptions, TieredCache};
+use biv_store::{Store, StoreOptions, TieredCache};
 use biv_workload::{generate_corpus, CorpusSpec};
 
 /// A new subsystem has no pre-change medians to compare against.
@@ -112,7 +113,41 @@ fn bench_store_warm(c: &mut Criterion) {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-criterion_group!(benches, bench_store_cold, bench_store_warm);
+/// Records in the store the open bench reopens.
+const OPEN_RECORDS: usize = 2048;
+
+/// Open: the store holds `OPEN_RECORDS` summaries; every iteration only
+/// reopens it (scan, CRC check, offset index) and serves nothing.
+fn bench_store_open(c: &mut Criterion) {
+    let corpus = generate_corpus(&CorpusSpec {
+        functions: OPEN_RECORDS,
+        ..corpus_spec()
+    });
+    let options = StoreOptions::for_budget(&Budget::UNLIMITED);
+    let dir = bench_dir("open");
+    let _ = std::fs::remove_dir_all(&dir);
+    {
+        let mut tiered = TieredCache::open(&dir, 4096, &options).expect("populate store");
+        analyze_batch_with_backend(&corpus.funcs, &batch_opts(), &mut tiered);
+        tiered.flush().expect("flush");
+        assert_eq!(tiered.store().len(), OPEN_RECORDS, "distinct corpus");
+    }
+    let mut group = c.benchmark_group("store");
+    timing(&mut group);
+    group.throughput(Throughput::Elements(OPEN_RECORDS as u64));
+    group.bench_with_input(BenchmarkId::new("open", OPEN_RECORDS), &dir, |b, dir| {
+        b.iter(|| Store::open(dir, &options).expect("reopen store"))
+    });
+    group.finish();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+criterion_group!(
+    benches,
+    bench_store_cold,
+    bench_store_warm,
+    bench_store_open
+);
 
 /// One uninstrumented warm pass to measure the disk-hit rate the bench
 /// loop exercises: distinct corpus + empty memory tier means every

@@ -152,7 +152,7 @@ pub trait CacheBackend: Send {
         None
     }
 
-    /// Makes the durable tier durable *now* (fsync + index snapshot).
+    /// Makes the durable tier durable *now* (an fsync of its log).
     /// Memory-only backends do nothing.
     fn flush(&mut self) -> std::io::Result<()> {
         Ok(())

@@ -21,7 +21,7 @@
 //!
 //! The poll between shutdown and preload matters: the departing `bivd`
 //! fsyncs its store *after* its drain completes, so preloading the
-//! snapshot before the process is gone could read a half-flushed index.
+//! store before the process is gone could read a half-flushed log.
 //! Once the successor acks the preload, every summary the departing
 //! shard had computed is served warm from its successor.
 
@@ -276,7 +276,7 @@ pub fn drain_shard(
     drop(client);
 
     // 2. Wait for it to leave — connection refused means the process is
-    // gone and its store flush (fsync + index snapshot) is durable.
+    // gone and its store flush (an fsync of the log) is durable.
     let deadline = Instant::now() + wait;
     let mut departed = false;
     loop {

@@ -83,9 +83,9 @@ pub struct ServerConfig {
     /// fail the request.
     pub budget: Budget,
     /// Directory of the durable analysis store. `None` serves from the
-    /// in-memory cache alone; `Some` preloads the store on startup
+    /// in-memory cache alone; `Some` opens the store on startup
     /// (warm restart), writes summaries through to it, and flushes it —
-    /// fsync plus atomic index snapshot — when the drain completes.
+    /// one fsync of the log — when the drain completes.
     pub cache_dir: Option<PathBuf>,
     /// This server's shard id within a fleet (`--fleet shard=K/N`).
     /// `0` with `shard_count == 1` is the single-process identity.
@@ -206,8 +206,9 @@ impl<'a> Shared<'a> {
         listener: &Listener,
         shutdown: &'a AtomicBool,
     ) -> io::Result<Shared<'a>> {
-        // Opening the store *is* the preload: every surviving record is
-        // decoded into its index before the first request is accepted.
+        // Opening the store indexes every surviving record's offset
+        // before the first request is accepted; a record is decoded on
+        // its first disk hit and then lives in the memory tier.
         let backend: Box<dyn CacheBackend + Send> = match &config.cache_dir {
             Some(dir) => Box::new(TieredCache::open(
                 dir,
@@ -595,11 +596,11 @@ fn process_preload(shared: &Shared<'_>, dir: &str) -> Response {
     }
     let options = StoreOptions::for_budget(&shared.config.budget);
     match Store::open(Path::new(dir), &options) {
-        Ok(store) => {
+        Ok(mut store) => {
             let mut backend = shared.cache.lock().expect("structural cache poisoned");
             let mut loaded = 0usize;
             for (hash, summary) in store.entries() {
-                backend.commit(hash, Arc::clone(summary));
+                backend.commit(hash, summary);
                 loaded += 1;
             }
             Response::PreloadAck { loaded }

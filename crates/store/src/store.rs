@@ -1,15 +1,15 @@
-//! The durable store: an append-only record log, a fully-decoded
-//! in-memory index, and an atomically-replaced snapshot.
+//! The durable store: an append-only record log and an in-memory
+//! index of record offsets.
 //!
 //! ## Commit protocol
 //!
 //! A `put` appends one self-checking record to the log with a plain
-//! `write`; durability is deferred to [`Store::flush`], which fsyncs
-//! the log and then replaces the snapshot via write-temp + fsync +
-//! rename + directory fsync. The log is therefore the source of truth
-//! and the snapshot is an open-time accelerator that is *only* trusted
-//! when its recorded metadata (container format, analyzer version,
-//! budget fingerprint, log length) matches the live log exactly.
+//! `write` and indexes its offset; durability is deferred to
+//! [`Store::flush`], which fsyncs the log. The log is the only file and
+//! the source of truth. Memory holds `hash → (offset, len)` and nothing
+//! decoded: a lookup reads the record at its offset, re-checks it
+//! (magic, hash, CRC), decodes it, and checks `cacheable()`. The memory
+//! tier in front ([`crate::TieredCache`]) is the only decoded cache.
 //!
 //! ## Crash matrix
 //!
@@ -17,26 +17,27 @@
 //! |---------|-----------------|
 //! | crash before `flush` | records up to the last complete append survive via the page cache if the OS stayed up; a torn final record is truncated |
 //! | `kill -9` mid-append | the log ends in a partial record → truncated to the consistent prefix, `corrupt_records_skipped` counts it |
-//! | crash mid-snapshot-replace | the temp file is ignored; the old snapshot either survives (stale `log_len` → full scan) or was already renamed (consistent) |
-//! | bit rot / post-CRC corruption | the record's CRC fails → the log is truncated *at* that record; everything before it is served |
+//! | bit rot / post-CRC corruption | the record's CRC fails → the log is truncated *at* that record; everything before it is served. A read that finds it first cuts the log there in place |
 //! | analyzer upgraded ([`FORMAT_VERSION`] bump) or budget caps changed | header mismatch → every record is garbage, the store compacts to empty |
 //!
 //! Truncating at the first bad record — rather than skipping it —
 //! is deliberate: an append-only log has no framing recovery, so
 //! anything after a corrupt region is unattributable and must be
-//! recomputed, never served.
+//! recomputed, never served. An `index.snap` left by older builds is
+//! never read.
 //!
 //! ## Compaction policy
 //!
 //! Compaction runs only on open (the serving path never pays for it):
-//! when garbage records exceed [`StoreOptions::compact_garbage_percent`]
-//! of the log, or unconditionally on wholesale invalidation, the live
-//! records are rewritten to a temp log which atomically replaces the
-//! old one.
+//! when superseded records exceed half of the log's records, or
+//! unconditionally on wholesale invalidation, the live records are
+//! rewritten to a temp log which atomically replaces the old one.
 
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
+#[cfg(not(unix))]
+use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -44,19 +45,17 @@ use biv_core::{analysis_fingerprint, Budget, StoreGauges, StructuralSummary, FOR
 
 use crate::codec::{decode_summary, encode_summary};
 use crate::faults;
-use crate::log::{
-    decode_header, decode_snapshot, encode_header, encode_record, encode_snapshot, parse_record,
-    SnapEntry, Snapshot,
-};
+use crate::log::{decode_header, encode_header, encode_record, parse_record};
 
 /// File name of the record log inside the store directory.
 pub const LOG_FILE: &str = "store.log";
-/// File name of the index snapshot inside the store directory.
-pub const SNAP_FILE: &str = "index.snap";
-const SNAP_TMP_FILE: &str = "index.snap.tmp";
 const LOG_TMP_FILE: &str = "store.log.tmp";
 
-/// What a store is keyed on and when it compacts.
+/// Open compacts when superseded records exceed this percentage of all
+/// records.
+const COMPACT_GARBAGE_PERCENT: u64 = 50;
+
+/// What a store is keyed on.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StoreOptions {
     /// Analyzer format version; normally [`FORMAT_VERSION`]. A store
@@ -67,10 +66,6 @@ pub struct StoreOptions {
     /// [`analysis_fingerprint`] of the serving budget. Same wholesale
     /// invalidation semantics as the version.
     pub fingerprint: String,
-    /// Compact on open when garbage records exceed this percentage of
-    /// all records (0 compacts whenever any garbage exists; 100 never
-    /// compacts short of wholesale invalidation).
-    pub compact_garbage_percent: u8,
 }
 
 impl StoreOptions {
@@ -79,7 +74,6 @@ impl StoreOptions {
         StoreOptions {
             format_version: FORMAT_VERSION,
             fingerprint: analysis_fingerprint(budget),
-            compact_garbage_percent: 50,
         }
     }
 }
@@ -90,15 +84,22 @@ impl Default for StoreOptions {
     }
 }
 
+/// Where a live record sits in the log, framing included.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    offset: u64,
+    len: u32,
+}
+
 /// A durable content-addressed map from structural hash to
-/// [`StructuralSummary`], preloaded into memory on open.
+/// [`StructuralSummary`]. Memory holds only record offsets; summaries
+/// are read and decoded from the log on lookup.
 pub struct Store {
     dir: PathBuf,
     file: File,
     log_len: u64,
     options: StoreOptions,
-    index: HashMap<u64, Arc<StructuralSummary>>,
-    layout: HashMap<u64, SnapEntry>,
+    index: HashMap<u64, Slot>,
     garbage: u64,
     disk_hits: u64,
     disk_misses: u64,
@@ -122,64 +123,57 @@ fn fsync_dir(dir: &Path) -> io::Result<()> {
     File::open(dir)?.sync_all()
 }
 
+/// The log handle: reads at record offsets, appends at the end.
+fn open_log(path: &Path) -> io::Result<File> {
+    OpenOptions::new()
+        .read(true)
+        .append(true)
+        .create(true)
+        .open(path)
+}
+
+/// Fills `buf` from `offset`: one positioned read where the platform
+/// has one.
+#[cfg(unix)]
+fn read_at(file: &File, buf: &mut [u8], offset: u64) -> io::Result<()> {
+    std::os::unix::fs::FileExt::read_exact_at(file, buf, offset)
+}
+
+#[cfg(not(unix))]
+fn read_at(mut file: &File, buf: &mut [u8], offset: u64) -> io::Result<()> {
+    file.seek(SeekFrom::Start(offset))?;
+    file.read_exact(buf)
+}
+
 struct ScanOutcome {
-    index: HashMap<u64, Arc<StructuralSummary>>,
-    layout: HashMap<u64, SnapEntry>,
+    index: HashMap<u64, Slot>,
     garbage: u64,
-    corrupt_skipped: u64,
     /// Consistent-prefix length; the file is truncated here if shorter
     /// than what was read.
     prefix_len: u64,
 }
 
 /// Sequentially parses every record after the header, superseding
-/// earlier records for the same hash, stopping (and marking the tail
-/// corrupt) at the first record that fails framing, CRC, or decode.
+/// earlier records for the same hash, stopping at the first record that
+/// fails framing or CRC. Payloads are not decoded here.
 fn scan_records(buf: &[u8], header_len: usize) -> ScanOutcome {
     let mut index = HashMap::new();
-    let mut layout: HashMap<u64, SnapEntry> = HashMap::new();
     let mut garbage = 0u64;
-    let mut corrupt_skipped = 0u64;
     let mut at = header_len;
-    while at < buf.len() {
-        let Some(rec) = parse_record(buf, at) else {
-            corrupt_skipped += 1;
-            break;
+    while let Some(rec) = parse_record(buf, at) {
+        let slot = Slot {
+            offset: at as u64,
+            len: u32::try_from(rec.len).expect("record length"),
         };
-        match decode_summary(rec.payload) {
-            Ok(summary) if summary.cacheable() => {
-                let entry = SnapEntry {
-                    hash: rec.hash,
-                    offset: at as u64,
-                    len: u32::try_from(rec.len).expect("record length"),
-                };
-                if layout.insert(rec.hash, entry).is_some() {
-                    garbage += 1;
-                }
-                index.insert(rec.hash, summary);
-            }
-            // A record that decodes to a non-cacheable summary should
-            // never have been written; treat it as garbage, not as
-            // corruption — the framing after it is still sound.
-            Ok(_) => garbage += 1,
-            Err(_) => {
-                corrupt_skipped += 1;
-                break;
-            }
+        if index.insert(rec.hash, slot).is_some() {
+            garbage += 1;
         }
         at += rec.len;
     }
-    let prefix_len = if corrupt_skipped > 0 {
-        at as u64
-    } else {
-        buf.len() as u64
-    };
     ScanOutcome {
         index,
-        layout,
         garbage,
-        corrupt_skipped,
-        prefix_len,
+        prefix_len: at as u64,
     }
 }
 
@@ -187,31 +181,22 @@ impl Store {
     /// Opens (creating if absent) the store in `dir`, validating the
     /// log, truncating any corrupt tail, invalidating wholesale on
     /// version or fingerprint mismatch, and compacting when the garbage
-    /// ratio warrants it. The surviving records are fully decoded into
-    /// memory — a warm open *is* the preload.
+    /// ratio warrants it. Only record offsets stay in memory.
     pub fn open(dir: &Path, options: &StoreOptions) -> io::Result<Store> {
         fs::create_dir_all(dir)?;
         let log_path = dir.join(LOG_FILE);
-        let mut buf = Vec::new();
-        match File::open(&log_path) {
-            Ok(mut f) => {
-                f.read_to_end(&mut buf)?;
-            }
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
+        let buf = match fs::read(&log_path) {
+            Ok(buf) => buf,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
             Err(e) => return Err(e),
-        }
+        };
 
         let mut store = Store {
             dir: dir.to_path_buf(),
-            // Placeholder; replaced below once the log is settled.
-            file: OpenOptions::new()
-                .append(true)
-                .create(true)
-                .open(&log_path)?,
+            file: open_log(&log_path)?,
             log_len: 0,
             options: options.clone(),
             index: HashMap::new(),
-            layout: HashMap::new(),
             garbage: 0,
             disk_hits: 0,
             disk_misses: 0,
@@ -220,12 +205,7 @@ impl Store {
             wedged: false,
         };
 
-        let header = if buf.is_empty() {
-            None
-        } else {
-            decode_header(&buf)
-        };
-        match header {
+        match decode_header(&buf) {
             None => {
                 // Missing or corrupt header: nothing in this log is
                 // attributable. Start fresh.
@@ -241,25 +221,20 @@ impl Store {
                 store.compactions += 1;
             }
             Some(h) => {
-                let outcome = match store.load_from_snapshot(&buf, &h.fingerprint, h.app_version) {
-                    Some(outcome) => outcome,
-                    None => scan_records(&buf, h.len),
-                };
-                store.corrupt_skipped = outcome.corrupt_skipped;
+                let outcome = scan_records(&buf, h.len);
                 if outcome.prefix_len < buf.len() as u64 {
                     // Truncate the unattributable tail before anything
                     // else can append after it.
                     store.file.set_len(outcome.prefix_len)?;
                     store.file.sync_all()?;
+                    store.corrupt_skipped = 1;
                 }
                 store.log_len = outcome.prefix_len;
                 store.index = outcome.index;
-                store.layout = outcome.layout;
                 store.garbage = outcome.garbage;
 
                 let total = store.index.len() as u64 + store.garbage;
-                let threshold = u64::from(options.compact_garbage_percent);
-                if store.garbage > 0 && total > 0 && store.garbage * 100 > total * threshold {
+                if store.garbage * 100 > total * COMPACT_GARBAGE_PERCENT {
                     store.compact(&buf)?;
                 }
             }
@@ -267,84 +242,35 @@ impl Store {
         Ok(store)
     }
 
-    /// Tries the snapshot fast path: decode `index.snap`, verify it
-    /// describes exactly this log, and load only the live records it
-    /// points at. Any disagreement returns `None` → full scan.
-    fn load_from_snapshot(
-        &self,
-        buf: &[u8],
-        fingerprint: &str,
-        app_version: u32,
-    ) -> Option<ScanOutcome> {
-        let snap_bytes = fs::read(self.dir.join(SNAP_FILE)).ok()?;
-        let snap = decode_snapshot(&snap_bytes)?;
-        if snap.app_version != app_version
-            || snap.fingerprint != fingerprint
-            || snap.log_len != buf.len() as u64
-        {
-            return None;
-        }
-        let mut index = HashMap::with_capacity(snap.entries.len());
-        let mut layout = HashMap::with_capacity(snap.entries.len());
-        for e in &snap.entries {
-            let offset = usize::try_from(e.offset).ok()?;
-            let rec = parse_record(buf, offset)?;
-            if rec.hash != e.hash || rec.len != e.len as usize {
-                return None;
-            }
-            let summary = decode_summary(rec.payload).ok()?;
-            index.insert(e.hash, summary);
-            layout.insert(e.hash, *e);
-        }
-        Some(ScanOutcome {
-            index,
-            layout,
-            garbage: snap.garbage,
-            corrupt_skipped: 0,
-            prefix_len: buf.len() as u64,
-        })
-    }
-
-    /// Replaces the log with a fresh empty one (header only) and drops
-    /// any snapshot.
+    /// Replaces the log with a fresh empty one (header only).
     fn reset_log(&mut self) -> io::Result<()> {
         let header = encode_header(self.options.format_version, &self.options.fingerprint);
         self.replace_log(&header)?;
         self.index.clear();
-        self.layout.clear();
         Ok(())
     }
 
     /// Rewrites the log to hold only live records, atomically.
     fn compact(&mut self, old_buf: &[u8]) -> io::Result<()> {
         let mut fresh = encode_header(self.options.format_version, &self.options.fingerprint);
-        let mut entries: Vec<SnapEntry> = self.layout.values().copied().collect();
+        let mut live: Vec<(u64, Slot)> = self.index.iter().map(|(&h, &s)| (h, s)).collect();
         // Deterministic output: preserve original log order.
-        entries.sort_by_key(|e| e.offset);
-        let mut layout = HashMap::with_capacity(entries.len());
-        for e in &entries {
-            let offset = usize::try_from(e.offset).expect("offset fits usize");
+        live.sort_by_key(|(_, slot)| slot.offset);
+        for (_, slot) in &mut live {
+            let start = usize::try_from(slot.offset).expect("offset fits usize");
             let new_offset = fresh.len() as u64;
-            fresh.extend_from_slice(&old_buf[offset..offset + e.len as usize]);
-            layout.insert(
-                e.hash,
-                SnapEntry {
-                    hash: e.hash,
-                    offset: new_offset,
-                    len: e.len,
-                },
-            );
+            fresh.extend_from_slice(&old_buf[start..start + slot.len as usize]);
+            slot.offset = new_offset;
         }
         self.replace_log(&fresh)?;
-        self.layout = layout;
+        self.index = live.into_iter().collect();
         self.garbage = 0;
         self.compactions += 1;
         Ok(())
     }
 
     /// Writes `contents` to a temp log, fsyncs, renames over the live
-    /// log, fsyncs the directory, reopens the append handle, and
-    /// removes any snapshot (now stale by construction).
+    /// log, fsyncs the directory, and reopens the log handle.
     fn replace_log(&mut self, contents: &[u8]) -> io::Result<()> {
         let tmp = self.dir.join(LOG_TMP_FILE);
         {
@@ -355,30 +281,73 @@ impl Store {
         let log_path = self.dir.join(LOG_FILE);
         fs::rename(&tmp, &log_path)?;
         fsync_dir(&self.dir)?;
-        match fs::remove_file(self.dir.join(SNAP_FILE)) {
-            Ok(()) => {}
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e),
-        }
-        self.file = OpenOptions::new().append(true).open(&log_path)?;
+        self.file = open_log(&log_path)?;
         self.log_len = contents.len() as u64;
         Ok(())
     }
 
-    /// Iterates every live record as `(structural_hash, summary)`
-    /// pairs, in unspecified order, without touching the hit/miss
-    /// counters. This is the warm-handoff export: a fleet successor
-    /// opens a drained shard's snapshot and feeds these entries into
-    /// its own cache tiers. (Opening already applied the
-    /// version/fingerprint gate — a snapshot written under a different
+    /// Reads the live record for `hash` at its offset, re-checks it,
+    /// and decodes it. A record that no longer parses (magic, length,
+    /// hash, CRC) ends the consistent prefix just as it would on open,
+    /// so the log is cut there; one that parses but does not decode to
+    /// a cacheable summary only leaves the index. Either way the answer
+    /// is a miss, and the caller's recomputed summary is appended
+    /// again. A failed read changes nothing: it is not evidence of
+    /// corruption.
+    fn read(&mut self, hash: u64) -> Option<Arc<StructuralSummary>> {
+        let slot = *self.index.get(&hash)?;
+        let mut buf = vec![0u8; slot.len as usize];
+        read_at(&self.file, &mut buf, slot.offset).ok()?;
+        let Some(rec) = parse_record(&buf, 0).filter(|r| r.hash == hash && r.len == buf.len())
+        else {
+            self.cut_at(slot.offset);
+            return None;
+        };
+        match decode_summary(rec.payload) {
+            Ok(summary) if summary.cacheable() => Some(summary),
+            _ => {
+                self.index.remove(&hash);
+                self.corrupt_skipped += 1;
+                None
+            }
+        }
+    }
+
+    /// Ends the log at `offset`, where a record failed its checks:
+    /// every record from there on leaves the index, as on open.
+    /// Superseded records past the cut stay in `records_garbage` until
+    /// the next open recounts. A store that cannot truncate wedges.
+    fn cut_at(&mut self, offset: u64) {
+        self.index.retain(|_, slot| slot.offset < offset);
+        self.corrupt_skipped += 1;
+        if self.wedged {
+            return;
+        }
+        if self.file.set_len(offset).is_ok() && self.file.sync_all().is_ok() {
+            self.log_len = offset;
+        } else {
+            self.wedged = true;
+        }
+    }
+
+    /// Decodes every live record, in log order, as owned
+    /// `(structural_hash, summary)` pairs, without touching the
+    /// hit/miss counters. Records that fail their checks are dropped as
+    /// in [`Store::get`]. This is the warm-handoff export: a fleet
+    /// successor opens a drained shard's store and feeds these entries
+    /// into its own cache tiers. (Opening already applied the
+    /// version/fingerprint gate — a store written under a different
     /// analyzer or budget yields no entries rather than wrong ones.)
-    pub fn entries(&self) -> impl Iterator<Item = (u64, &Arc<StructuralSummary>)> {
-        self.index.iter().map(|(h, s)| (*h, s))
+    pub fn entries(&mut self) -> impl Iterator<Item = (u64, Arc<StructuralSummary>)> + '_ {
+        let mut live: Vec<(u64, u64)> = self.index.iter().map(|(&h, s)| (s.offset, h)).collect();
+        live.sort_unstable();
+        live.into_iter()
+            .filter_map(move |(_, hash)| Some((hash, self.read(hash)?)))
     }
 
     /// Looks `hash` up, counting a disk hit or miss.
     pub fn get(&mut self, hash: u64) -> Option<Arc<StructuralSummary>> {
-        let found = self.index.get(&hash).map(Arc::clone);
+        let found = self.read(hash);
         if found.is_some() {
             self.disk_hits += 1;
         } else {
@@ -403,9 +372,9 @@ impl Store {
         let mut rec = encode_record(hash, &payload);
 
         // Injected fault: flip one byte *after* the CRC was computed —
-        // undetectable now, caught by CRC verification on reopen. The
-        // in-memory index keeps the correct summary, so this process
-        // never serves the corrupt bytes.
+        // undetectable now, caught by the CRC check of the next read of
+        // this record or of the next open, which cuts the log there. The
+        // corrupt bytes are never served.
         if let Some(entropy) = faults::entropy("store.record.corrupt") {
             let at = (entropy as usize) % rec.len();
             rec[at] ^= 1 << ((entropy >> 32) % 8);
@@ -438,43 +407,18 @@ impl Store {
             return Err(e);
         }
 
-        let entry = SnapEntry {
-            hash,
+        let slot = Slot {
             offset: self.log_len,
             len: u32::try_from(rec.len()).expect("record length"),
         };
         self.log_len += rec.len() as u64;
-        self.layout.insert(hash, entry);
-        self.index.insert(hash, Arc::clone(summary));
+        self.index.insert(hash, slot);
         Ok(true)
     }
 
-    /// Makes everything appended so far durable: fsync the log, then
-    /// atomically replace the snapshot (write-temp + fsync + rename +
-    /// directory fsync). A wedged store skips the snapshot — its
-    /// in-memory state no longer matches the file.
+    /// Makes everything appended so far durable: one fsync of the log.
     pub fn flush(&mut self) -> io::Result<()> {
-        if self.wedged {
-            return Ok(());
-        }
-        self.file.sync_all()?;
-        let mut entries: Vec<SnapEntry> = self.layout.values().copied().collect();
-        entries.sort_by_key(|e| e.offset);
-        let snap = Snapshot {
-            app_version: self.options.format_version,
-            fingerprint: self.options.fingerprint.clone(),
-            log_len: self.log_len,
-            garbage: self.garbage,
-            entries,
-        };
-        let tmp = self.dir.join(SNAP_TMP_FILE);
-        {
-            let mut f = File::create(&tmp)?;
-            f.write_all(&encode_snapshot(&snap))?;
-            f.sync_all()?;
-        }
-        fs::rename(&tmp, self.dir.join(SNAP_FILE))?;
-        fsync_dir(&self.dir)
+        self.file.sync_all()
     }
 
     /// Point-in-time counters for the `stats` endpoint /
@@ -515,7 +459,7 @@ impl Store {
         &self.options
     }
 
-    /// The directory holding the log and snapshot.
+    /// The directory holding the log.
     pub fn dir(&self) -> &Path {
         &self.dir
     }
@@ -524,6 +468,7 @@ impl Store {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::{Read, Seek, SeekFrom};
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn tmp_dir(tag: &str) -> PathBuf {
@@ -578,8 +523,8 @@ mod tests {
         {
             let mut store = Store::open(&dir, &opts).expect("open");
             store.put(1, &summary("a")).expect("put");
-            // No flush: no fsync, no snapshot. The bytes are still in
-            // the file (same OS instance), so the scan finds them.
+            // No flush: no fsync. The bytes are still in the file
+            // (same OS instance), so the scan finds them.
         }
         let store = Store::open(&dir, &opts).expect("reopen");
         assert_eq!(store.len(), 1);
@@ -727,49 +672,128 @@ mod tests {
         fs::remove_dir_all(&dir).ok();
     }
 
+    /// Flips one bit of the log at `at`, in place, behind any open store.
+    fn flip_byte(log: &Path, at: u64) {
+        let mut f = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .open(log)
+            .expect("open log");
+        let mut byte = [0u8];
+        f.seek(SeekFrom::Start(at)).expect("seek");
+        f.read_exact(&mut byte).expect("read byte");
+        f.seek(SeekFrom::Start(at)).expect("seek");
+        f.write_all(&[byte[0] ^ 0x20]).expect("write byte");
+    }
+
     #[test]
-    fn snapshot_fast_path_matches_full_scan() {
-        let dir = tmp_dir("snap");
+    fn corruption_found_by_a_read_is_a_miss_and_heals_on_put() {
+        let dir = tmp_dir("read-corrupt");
         let opts = StoreOptions::default();
-        {
-            let mut store = Store::open(&dir, &opts).expect("open");
-            for i in 0..10u64 {
-                store.put(i, &summary(&format!("s{i}"))).expect("put");
-            }
-            store.flush().expect("flush");
-        }
-        // Snapshot present and fresh → fast path.
-        let via_snapshot = Store::open(&dir, &opts).expect("snap open");
-        assert_eq!(via_snapshot.len(), 10);
-        drop(via_snapshot);
-        // Remove the snapshot → full scan must agree.
-        fs::remove_file(dir.join(SNAP_FILE)).expect("rm snap");
-        let via_scan = Store::open(&dir, &opts).expect("scan open");
-        assert_eq!(via_scan.len(), 10);
-        for i in 0..10u64 {
-            assert!(via_scan.contains(i));
-        }
+        let log = dir.join(LOG_FILE);
+        let mut store = Store::open(&dir, &opts).expect("open");
+        store.put(1, &summary("a")).expect("put");
+        let record_two_offset = fs::metadata(&log).expect("meta").len();
+        store.put(2, &summary("b")).expect("put");
+        store.put(3, &summary("c")).expect("put");
+        store.flush().expect("flush");
+
+        // Rot one payload byte of record 2 while the store is open.
+        flip_byte(&log, record_two_offset + 17);
+        assert!(store.get(2).is_none(), "a corrupt record is never served");
+        let gauges = store.stats();
+        assert_eq!(gauges.corrupt_records_skipped, 1);
+        assert_eq!(gauges.disk_misses, 1);
+        assert!(!store.contains(2));
+        // The log ends at the bad record, as an open would have cut it.
+        assert!(!store.contains(3), "records past the cut are dropped");
+        assert_eq!(fs::metadata(&log).expect("meta").len(), record_two_offset);
+        assert_eq!(store.get(1).expect("prefix serves").loops[0].name, "L_a");
+
+        // The recompute is appended again and survives a reopen.
+        assert!(store.put(2, &summary("b")).expect("re-put"));
+        store.flush().expect("flush");
+        drop(store);
+        let mut store = Store::open(&dir, &opts).expect("reopen");
+        assert_eq!(store.get(2).expect("re-put serves").loops[0].name, "L_b");
+        assert_eq!(store.len(), 2);
+        assert_eq!(store.stats().corrupt_records_skipped, 0);
         fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn stale_snapshot_is_distrusted() {
-        let dir = tmp_dir("stale-snap");
+    fn undecodable_record_leaves_the_index_without_cutting_the_log() {
+        let dir = tmp_dir("undecodable");
         let opts = StoreOptions::default();
         {
             let mut store = Store::open(&dir, &opts).expect("open");
             store.put(1, &summary("a")).expect("put");
-            store.flush().expect("flush");
-            // Append after the snapshot was taken; snapshot.log_len is
-            // now stale.
-            store.put(2, &summary("b")).expect("put");
         }
-        let store = Store::open(&dir, &opts).expect("reopen");
+        // A record whose CRC holds but whose payload is not a summary,
+        // followed by a sound one.
+        let mut f = OpenOptions::new()
+            .append(true)
+            .open(dir.join(LOG_FILE))
+            .expect("open log");
+        f.write_all(&encode_record(7, b"not a summary"))
+            .expect("append");
+        f.write_all(&encode_record(2, &encode_summary(&summary("b"))))
+            .expect("append");
+        drop(f);
+
+        let mut store = Store::open(&dir, &opts).expect("reopen");
+        assert_eq!(store.len(), 3, "open checks framing, not payloads");
+        assert!(store.get(7).is_none());
+        assert_eq!(store.stats().corrupt_records_skipped, 1);
+        assert!(!store.contains(7));
+        assert!(store.get(2).is_some(), "records after it still serve");
+        assert!(store.put(7, &summary("g")).expect("re-put"));
+        drop(store);
+        let mut store = Store::open(&dir, &opts).expect("second reopen");
+        assert_eq!(store.get(7).expect("last copy wins").loops[0].name, "L_g");
+        assert_eq!(store.stats().records_garbage, 1);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn superseded_majority_compacts_on_open() {
+        let dir = tmp_dir("compact");
+        fs::create_dir_all(&dir).expect("mkdir");
+        let opts = StoreOptions::default();
+        let write_log = |copies: &[(u64, &str)]| {
+            let mut bytes = encode_header(opts.format_version, &opts.fingerprint);
+            for &(hash, tag) in copies {
+                bytes.extend_from_slice(&encode_record(hash, &encode_summary(&summary(tag))));
+            }
+            fs::write(dir.join(LOG_FILE), bytes).expect("write log");
+        };
+
+        // Exactly half superseded: not over the threshold.
+        write_log(&[(1, "a1"), (2, "b1"), (1, "a2"), (2, "b2")]);
+        let store = Store::open(&dir, &opts).expect("open at threshold");
+        assert_eq!(store.stats().compactions, 0);
+        assert_eq!(store.stats().records_garbage, 2);
+        drop(store);
+
+        // Three of five superseded: compacts.
+        write_log(&[(1, "a1"), (2, "b1"), (1, "a2"), (2, "b2"), (1, "a3")]);
+        let mut store = Store::open(&dir, &opts).expect("open");
+        let gauges = store.stats();
+        assert_eq!(gauges.compactions, 1);
+        assert_eq!(gauges.records_garbage, 0);
+        assert_eq!(store.get(1).expect("hit").loops[0].name, "L_a3");
+        assert_eq!(store.get(2).expect("hit").loops[0].name, "L_b2");
+        drop(store);
+
+        let mut store = Store::open(&dir, &opts).expect("reopen");
+        let gauges = store.stats();
         assert_eq!(
-            store.len(),
-            2,
-            "full scan must see the post-snapshot append"
+            gauges.records_garbage, 0,
+            "the compacted log has no garbage"
         );
+        assert_eq!(gauges.compactions, 0);
+        assert_eq!(store.get(1).expect("hit").loops[0].name, "L_a3");
+        assert_eq!(store.get(2).expect("hit").loops[0].name, "L_b2");
         fs::remove_dir_all(&dir).ok();
     }
 

@@ -7,9 +7,10 @@
 //! the memory-only backend. Which tier answered shows up only in the
 //! [`StoreGauges`] — `disk_hits` are lookups the memory tier missed.
 //!
-//! A disk hit *promotes*: the summary is inserted into the memory tier
-//! so repeats stay off the (already cheap) index path and FIFO eviction
-//! sees realistic traffic.
+//! A disk hit reads the record at its indexed offset, re-checks its CRC,
+//! decodes it, and *promotes* it into the memory tier, so repeats skip
+//! the read and the decode. The memory tier is the only decoded cache,
+//! and `--cache-cap` bounds it.
 
 use std::path::Path;
 use std::sync::Arc;

@@ -12,7 +12,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use biv_core::{LoopSummary, StructuralSummary};
-use biv_store::{Store, StoreOptions, LOG_FILE, SNAP_FILE};
+use biv_store::{Store, StoreOptions, LOG_FILE};
 
 fn tmp_dir(tag: &str) -> PathBuf {
     static N: AtomicU64 = AtomicU64::new(0);
@@ -98,10 +98,10 @@ fn every_truncation_point_reopens_to_the_consistent_prefix() {
 }
 
 #[test]
-fn truncation_with_a_stale_snapshot_still_recovers() {
-    // Same sweep idea, but the directory also carries a snapshot taken
-    // at full length — every shorter cut makes it stale, and the store
-    // must fall back to the scan instead of trusting it.
+fn leftover_index_snapshot_is_ignored() {
+    // Older builds kept an `index.snap` beside the log. A directory that
+    // still carries one, next to a log cut mid-record, must open to
+    // exactly the consistent prefix: the file is never read.
     let opts = StoreOptions::default();
     let build_dir = tmp_dir("snapbuild");
     {
@@ -112,23 +112,22 @@ fn truncation_with_a_stale_snapshot_still_recovers() {
         store.flush().expect("flush");
     }
     let full = fs::read(build_dir.join(LOG_FILE)).expect("read log");
-    let snap = fs::read(build_dir.join(SNAP_FILE)).expect("read snap");
 
-    let sweep_dir = tmp_dir("snapsweep");
-    // Cut off the last record's final byte — snapshot log_len mismatch.
-    fs::create_dir_all(&sweep_dir).expect("mkdir");
-    fs::write(sweep_dir.join(LOG_FILE), &full[..full.len() - 1]).expect("cut log");
-    fs::write(sweep_dir.join(SNAP_FILE), &snap).expect("copy snap");
+    let dir = tmp_dir("snapleftover");
+    fs::create_dir_all(&dir).expect("mkdir");
+    // Cut off the last record's final byte.
+    fs::write(dir.join(LOG_FILE), &full[..full.len() - 1]).expect("cut log");
+    fs::write(dir.join("index.snap"), b"BIVI leftover bytes").expect("leftover snapshot");
 
-    let mut store = Store::open(&sweep_dir, &opts).expect("reopen");
-    assert_eq!(
-        store.len(),
-        2,
-        "stale snapshot must not resurrect the torn record"
-    );
-    assert!(store.get(2).is_none());
+    let mut store = Store::open(&dir, &opts).expect("reopen");
+    assert_eq!(store.len(), 2, "exactly the fully-written records survive");
+    for i in 0..2u64 {
+        let got = store.get(i).expect("survivor serves");
+        assert_eq!(got.loops[0].name, format!("L_{i}"));
+    }
+    assert!(store.get(2).is_none(), "the torn record is gone");
     assert_eq!(store.stats().corrupt_records_skipped, 1);
-    fs::remove_dir_all(&sweep_dir).ok();
+    fs::remove_dir_all(&dir).ok();
     fs::remove_dir_all(&build_dir).ok();
 }
 

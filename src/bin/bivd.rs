@@ -15,7 +15,7 @@
 //! byte-identical to a local `bivc` run.
 //!
 //! With `--cache-dir`, summaries also persist to a durable
-//! content-addressed store in that directory: the daemon preloads it on
+//! content-addressed store in that directory: the daemon indexes it on
 //! startup (a warm restart), writes new summaries through to it, and
 //! flushes it when the drain completes, so a `kill -9` loses at most
 //! the unflushed tail — never a served answer.

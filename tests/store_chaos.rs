@@ -139,8 +139,8 @@ fn corrupt_records_are_truncated_on_reopen_and_counted() {
     let dir = fresh_dir("corrupt");
 
     // Populate under a corruption-heavy plan until at least one
-    // record is corrupted on disk (the in-process index still holds
-    // the correct summaries, so serving stays right all along).
+    // record is corrupted on disk (a read of it in this process would
+    // fail its CRC and answer a miss, so serving stays right all along).
     let mut corrupted = false;
     for seed in 0..64u64 {
         biv_faults::install(seed, biv_faults::Profile::Store);

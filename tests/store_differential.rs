@@ -9,6 +9,7 @@
 //! `tests/store_chaos.rs`, its own test binary, because a fault plan is
 //! process-global and would leak into these tests.
 
+use std::io::{Seek, SeekFrom, Write};
 use std::path::PathBuf;
 use std::process::{Command, Output};
 use std::sync::Arc;
@@ -138,6 +139,58 @@ fn disk_hits_match_the_in_memory_hit_set() {
             a.name
         );
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn corruption_found_at_read_time_is_recomputed_with_identical_bytes() {
+    let dir = fresh_dir("read-corrupt");
+    let funcs = corpus_funcs();
+    let options = StoreOptions::for_budget(&Budget::UNLIMITED);
+    let mut mem = StructuralCache::new(4096);
+    let cold = analyze_batch_with_backend(&funcs, &batch_opts(), &mut mem).render();
+    {
+        let mut tiered = TieredCache::open(&dir, 4096, &options).expect("populate");
+        analyze_batch_with_backend(&funcs, &batch_opts(), &mut tiered);
+        tiered.flush().expect("flush");
+    }
+
+    // Open the store (its scan finds every record sound), then rot one
+    // payload byte of the first record on disk.
+    let mut tiered = TieredCache::open(&dir, 4096, &options).expect("open warm");
+    let log = dir.join(biv::store::LOG_FILE);
+    let bytes = std::fs::read(&log).expect("read log");
+    let header = biv::store::log::decode_header(&bytes).expect("header");
+    let at = (header.len + 16) as u64;
+    let mut f = std::fs::OpenOptions::new()
+        .write(true)
+        .open(&log)
+        .expect("open log");
+    f.seek(SeekFrom::Start(at)).expect("seek");
+    f.write_all(&[bytes[at as usize] ^ 0x20]).expect("flip");
+    drop(f);
+
+    let report = analyze_batch_with_backend(&funcs, &batch_opts(), &mut tiered);
+    assert_eq!(
+        report.render(),
+        cold,
+        "a corrupt record never changes bytes"
+    );
+    let gauges = tiered.store_gauges().expect("store gauges");
+    assert_eq!(gauges.corrupt_records_skipped, 1);
+    assert_eq!(gauges.disk_hits, 0, "the cut drops every later record too");
+    tiered.flush().expect("flush");
+    drop(tiered);
+
+    // The recomputed summaries were appended again: a reopen is warm.
+    let mut tiered = TieredCache::open(&dir, 4096, &options).expect("reopen");
+    let warm = analyze_batch_with_backend(&funcs, &batch_opts(), &mut tiered);
+    // Only the stats line may differ: warmth changes the true counters.
+    let body = |rendered: &str| rendered[..rendered.rfind("batch:").expect("stats")].to_string();
+    assert_eq!(body(&warm.render()), body(&cold));
+    assert_eq!(warm.stats.misses, 0, "the healed store is fully warm");
+    let gauges = tiered.store_gauges().expect("store gauges");
+    assert_eq!(gauges.corrupt_records_skipped, 0);
     std::fs::remove_dir_all(&dir).ok();
 }
 
