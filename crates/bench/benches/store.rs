@@ -2,9 +2,11 @@
 //! through to disk, against a warm restart that serves the same corpus
 //! from the persisted record log. The gap is the paper's analysis cost;
 //! the warm number is what a `bivd --cache-dir` restart pays. The open
-//! row times a reopen of a 2,048-record store alone. The emitted
-//! `BENCH_store.json` carries the timings plus the measured warm
-//! disk-hit rate.
+//! row times a reopen of a 2,048-record store alone. The two hot-file
+//! rows time one warm request for a file the server has seen before:
+//! `index` finds its functions in the file index, `parse` parses and
+//! hashes it. The emitted `BENCH_store.json` carries the timings plus
+//! the measured warm disk-hit rate.
 
 use std::cell::Cell;
 use std::path::PathBuf;
@@ -13,7 +15,12 @@ use std::time::Duration;
 use biv_bench::criterion_group;
 use biv_bench::harness::{BenchmarkId, Criterion, Throughput};
 use biv_bench::report::{self, Baseline};
-use biv_core::{analyze_batch_with_backend, BatchOptions, Budget, CacheBackend};
+use biv_core::{
+    analyze_batch_with_backend, analyze_sources_with_backend, cold_batch_stats,
+    render_grouped_with, BatchOptions, BatchReport, Budget, CacheBackend, FileIndex,
+    StructuralCache,
+};
+use biv_ir::parser::parse_program;
 use biv_store::{Store, StoreOptions, TieredCache};
 use biv_workload::{generate_corpus, CorpusSpec};
 
@@ -142,11 +149,70 @@ fn bench_store_open(c: &mut Criterion) {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Functions in the hot file, as in a `serve_reuse` request.
+const HOT_FUNCTIONS: usize = 4;
+
+/// Renders one file's report the way `bivd` answers it: header, blocks,
+/// and the cold-replayed stats line.
+fn render_hot(report: &BatchReport) -> String {
+    let hashes: Vec<u64> = report.functions.iter().map(|f| f.hash).collect();
+    let cold = cold_batch_stats(&hashes, BatchOptions::default().cache_capacity);
+    let ranges = [("hot.biv".to_string(), report.functions.len())];
+    render_grouped_with(&ranges, &report.functions, &cold, false)
+}
+
+/// Hot file: one request for a file whose summaries are all in the
+/// memory tier. `index` takes the path `bivd` serves a file it has
+/// seen before by — content key, file index, plan, render — and `parse`
+/// the path it took before the index: parse, hash, plan, render. Both
+/// render the same bytes.
+fn bench_hot_file(c: &mut Criterion) {
+    let source = generate_corpus(&CorpusSpec {
+        functions: HOT_FUNCTIONS,
+        ..corpus_spec()
+    })
+    .source;
+    let opts = batch_opts();
+    let capacity = opts.cache_capacity;
+    let mut cache = StructuralCache::new(capacity);
+    let index = std::sync::Mutex::new(FileIndex::new(capacity));
+    // Two sightings admit the file; both warm the cache.
+    for _ in 0..2 {
+        analyze_sources_with_backend(&[&source], &opts, &mut cache, &index);
+    }
+    let parse_path = |cache: &mut StructuralCache| {
+        let funcs = parse_program(&source).expect("corpus parses").functions;
+        render_hot(&analyze_batch_with_backend(&funcs, &opts, cache))
+    };
+    let index_path = |cache: &mut StructuralCache| {
+        let served = analyze_sources_with_backend(&[&source], &opts, cache, &index);
+        render_hot(&served.report)
+    };
+    assert_eq!(index_path(&mut cache), parse_path(&mut cache));
+    assert_eq!(
+        index.lock().unwrap().gauges().entries,
+        1,
+        "the file is indexed"
+    );
+
+    let mut group = c.benchmark_group("store");
+    timing(&mut group);
+    group.throughput(Throughput::Elements(HOT_FUNCTIONS as u64));
+    group.bench_function(BenchmarkId::new("hot_file", "index"), |b| {
+        b.iter(|| index_path(&mut cache))
+    });
+    group.bench_function(BenchmarkId::new("hot_file", "parse"), |b| {
+        b.iter(|| parse_path(&mut cache))
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_store_cold,
     bench_store_warm,
-    bench_store_open
+    bench_store_open,
+    bench_hot_file
 );
 
 /// One uninstrumented warm pass to measure the disk-hit rate the bench

@@ -35,14 +35,16 @@
 //!    number of distinct structures analyzed, `hits + misses` equals the
 //!    number of functions submitted.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex, PoisonError};
+use std::time::{Duration, Instant};
 
+use biv_ir::parser::{parse_program, ParseError};
 use biv_ir::{EntityId, Function, Inst, Operand, Terminator};
 
 use crate::budget::BudgetBreach;
-use crate::cache::CacheBackend;
+use crate::cache::{content_key, CacheBackend, FileIndex, S3Fifo};
 use crate::config::AnalysisConfig;
 use crate::display::{canonical_value_name, describe_class_with};
 use crate::driver::{analyze_protected, AnalysisError};
@@ -55,7 +57,8 @@ pub struct BatchOptions {
     pub jobs: usize,
     /// The per-function analysis configuration.
     pub config: AnalysisConfig,
-    /// Maximum entries the structural cache retains (FIFO eviction).
+    /// Maximum entries the structural cache retains (S3-FIFO
+    /// retention; see [`StructuralCache`]).
     pub cache_capacity: usize,
 }
 
@@ -235,16 +238,26 @@ fn render_summary_body(out: &mut String, summary: &StructuralSummary, show_invar
     }
 }
 
-/// A bounded structural-hash → summary cache with FIFO eviction,
-/// reusable across batches (e.g. successive files fed to `bivc`).
-#[derive(Debug, Default)]
+/// A bounded structural-hash → summary cache, reusable across batches
+/// (successive files fed to `bivc`, every request `bivd` serves).
+///
+/// Retention is S3-FIFO (see `crate::cache`): a tenth of the capacity
+/// is a probationary queue, so a scan of one-hit structures does not
+/// flush entries that are hit again. Each insert beyond capacity still
+/// evicts exactly one entry, which is all [`cold_batch_stats`] relies
+/// on.
+#[derive(Debug)]
 pub struct StructuralCache {
-    map: HashMap<u64, Arc<StructuralSummary>>,
-    order: VecDeque<u64>,
-    capacity: usize,
+    entries: S3Fifo<Arc<StructuralSummary>>,
     hits: u64,
     misses: u64,
     evictions: u64,
+}
+
+impl Default for StructuralCache {
+    fn default() -> Self {
+        StructuralCache::new(0)
+    }
 }
 
 impl StructuralCache {
@@ -252,24 +265,26 @@ impl StructuralCache {
     /// retention entirely: every lookup misses, nothing is stored).
     pub fn new(capacity: usize) -> StructuralCache {
         StructuralCache {
-            capacity,
-            ..StructuralCache::default()
+            entries: S3Fifo::new(capacity, (capacity / 10).max(1)),
+            hits: 0,
+            misses: 0,
+            evictions: 0,
         }
     }
 
     /// Entries currently retained.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.entries.len()
     }
 
     /// The configured retention bound.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.entries.capacity()
     }
 
     /// Whether the cache holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.entries.len() == 0
     }
 
     /// Cumulative hits across all batches served by this cache.
@@ -287,15 +302,17 @@ impl StructuralCache {
         self.evictions
     }
 
-    /// Looks `hash` up without touching the counters.
-    pub fn peek(&self, hash: u64) -> Option<Arc<StructuralSummary>> {
-        self.map.get(&hash).map(Arc::clone)
+    /// Looks `hash` up and marks it used for retention, without
+    /// counting a hit or a miss — for tiered backends, which count once
+    /// across their tiers.
+    pub fn get(&mut self, hash: u64) -> Option<Arc<StructuralSummary>> {
+        self.entries.get_if(hash, |_| true).map(Arc::clone)
     }
 
     /// Looks `hash` up, recording a hit or a miss in the cumulative
     /// counters — the counted form backends route through.
     pub fn lookup(&mut self, hash: u64) -> Option<Arc<StructuralSummary>> {
-        let found = self.peek(hash);
+        let found = self.get(hash);
         if found.is_some() {
             self.hits += 1;
         } else {
@@ -311,32 +328,18 @@ impl StructuralCache {
     }
 
     /// Records a miss that bypassed [`lookup`](StructuralCache::lookup)
-    /// (a tiered backend checked every tier via `peek` and found
-    /// nothing; the miss is still charged to the front tier's counters
-    /// so `hits + misses` tracks functions submitted).
+    /// (a tiered backend checked every tier and found nothing; the miss
+    /// is still charged to the front tier's counters so `hits + misses`
+    /// tracks functions submitted).
     pub fn note_miss(&mut self) {
         self.misses += 1;
     }
 
-    /// Inserts a summary, evicting FIFO past capacity; returns how many
-    /// entries were evicted.
+    /// Inserts a summary; returns how many entries were evicted to make
+    /// room (one per insert of a new hash beyond capacity).
     pub fn insert(&mut self, hash: u64, summary: Arc<StructuralSummary>) -> usize {
-        if self.capacity == 0 {
-            return 0;
-        }
-        let mut evicted = 0;
-        if self.map.insert(hash, summary).is_none() {
-            self.order.push_back(hash);
-        }
-        while self.map.len() > self.capacity {
-            let Some(oldest) = self.order.pop_front() else {
-                break;
-            };
-            if self.map.remove(&oldest).is_some() {
-                self.evictions += 1;
-                evicted += 1;
-            }
-        }
+        let evicted = self.entries.insert_with(hash, 1, || summary);
+        self.evictions += evicted as u64;
         evicted
     }
 }
@@ -366,7 +369,8 @@ impl BatchReport {
 }
 
 /// Analyzes a batch of functions against any [`CacheBackend`] — the
-/// one batch entry point. A fresh run passes
+/// one batch pipeline, which [`analyze_sources_with_backend`] also runs
+/// for whole source files. A fresh run passes
 /// `&mut StructuralCache::new(opts.cache_capacity)`; a durable run a
 /// memory+disk write-through tier such as `biv_store::TieredCache`; and
 /// a server whose workers share one cache passes
@@ -382,20 +386,133 @@ pub fn analyze_batch_with_backend<B: CacheBackend + ?Sized>(
     opts: &BatchOptions,
     cache: &mut B,
 ) -> BatchReport {
-    let hashes: Vec<u64> = funcs.iter().map(structural_hash).collect();
-    let mut stats = BatchStats {
-        functions: funcs.len(),
-        ..BatchStats::default()
+    let plan = BatchPlan::new(funcs.iter().map(structural_hash).collect(), cache);
+    let pending: Vec<&Function> = plan.representatives.iter().map(|&i| &funcs[i]).collect();
+    let names = funcs.iter().map(|f| f.name().to_string());
+    plan.finish(names, &pending, opts, cache)
+}
+
+/// Per input file of [`analyze_sources_with_backend`]: how many
+/// functions it contributed to the report, or why it did not parse.
+#[derive(Debug)]
+pub struct SourcesReport {
+    /// One outcome per source, in input order. The report's functions
+    /// are the `Ok` counts' functions, concatenated in that order.
+    pub files: Vec<Result<usize, ParseError>>,
+    /// The batch over every function of every parsed source.
+    pub report: BatchReport,
+    /// Time spent finding each file's functions: index lookups, plus
+    /// parsing and structural hashing of the files the index missed.
+    pub parse: Duration,
+}
+
+/// Analyzes whole source files through `cache`, skipping the parser for
+/// files `index` holds — the path `bivd` serves requests by.
+///
+/// A file the index holds (byte-equal source under its
+/// [`content_key`]) contributes its stored `(name, structural hash)`
+/// list; every other file is parsed and hashed. Every function then
+/// goes through the same serial plan as [`analyze_batch_with_backend`]
+/// — one counted lookup each, batch-local twins as duplicate hits — so
+/// `hits + misses` still equals the functions submitted. An indexed
+/// file is parsed again only when the plan leaves one of its functions
+/// to analyze (its summary left every tier, or was never cacheable),
+/// and then only those functions are analyzed. Summaries and names are
+/// those a parse would give, so the report is byte-identical either
+/// way.
+///
+/// After the batch, each parsed file whose summaries are all cacheable
+/// is offered to the index ([`FileIndex::admit`]).
+pub fn analyze_sources_with_backend<B: CacheBackend + ?Sized>(
+    sources: &[&str],
+    opts: &BatchOptions,
+    cache: &mut B,
+    index: &Mutex<FileIndex>,
+) -> SourcesReport {
+    // A panic under this lock can leave the index short of an entry,
+    // never serving a wrong one: every hit is byte-compared.
+    let lock = || index.lock().unwrap_or_else(PoisonError::into_inner);
+    let t = Instant::now();
+    let keys: Vec<u64> = sources.iter().map(|s| content_key(s)).collect();
+    let indexed: Vec<_> = {
+        let mut index = lock();
+        keys.iter()
+            .zip(sources)
+            .map(|(&key, source)| index.lookup(key, source))
+            .collect()
     };
-    let (plans, representatives) = plan_batch(&hashes, cache, &mut stats);
+    let mut parsed: Vec<Option<Vec<Function>>> = Vec::with_capacity(sources.len());
+    let mut files = Vec::with_capacity(sources.len());
+    let mut names = Vec::new();
+    let mut hashes = Vec::new();
+    // Per function: its file and its position there.
+    let mut origin = Vec::new();
+    for (i, (source, known)) in sources.iter().zip(&indexed).enumerate() {
+        let functions = match known {
+            Some(functions) => {
+                for (name, hash) in functions.iter() {
+                    names.push(name.clone());
+                    hashes.push(*hash);
+                }
+                parsed.push(None);
+                functions.len()
+            }
+            None => match parse_program(source) {
+                Ok(program) => {
+                    for f in &program.functions {
+                        names.push(f.name().to_string());
+                        hashes.push(structural_hash(f));
+                    }
+                    let count = program.functions.len();
+                    parsed.push(Some(program.functions));
+                    count
+                }
+                Err(e) => {
+                    parsed.push(None);
+                    files.push(Err(e));
+                    continue;
+                }
+            },
+        };
+        origin.extend((0..functions).map(|j| (i, j)));
+        files.push(Ok(functions));
+    }
+    let parse = t.elapsed();
 
-    // Parallel analysis of the representatives.
-    let jobs = resolve_jobs(opts.jobs).min(representatives.len()).max(1);
-    stats.jobs = jobs;
-    let computed = compute_representatives(funcs, &representatives, jobs, &opts.config);
+    let plan = BatchPlan::new(hashes, cache);
+    for &k in &plan.representatives {
+        let file = origin[k].0;
+        if parsed[file].is_none() {
+            let program = parse_program(sources[file]).expect("an indexed source parsed before");
+            parsed[file] = Some(program.functions);
+        }
+    }
+    let pending: Vec<&Function> = plan
+        .representatives
+        .iter()
+        .map(|&k| {
+            let (file, j) = origin[k];
+            &parsed[file].as_ref().expect("parsed above")[j]
+        })
+        .collect();
+    let report = plan.finish(names, &pending, opts, cache);
 
-    commit_batch(&hashes, &representatives, &computed, cache, &mut stats);
-    assemble_report(plans, funcs, &hashes, &computed, stats)
+    let mut index = lock();
+    let mut next = 0;
+    for (i, outcome) in files.iter().enumerate() {
+        let Ok(count) = outcome else { continue };
+        let functions = &report.functions[next..next + count];
+        next += count;
+        if indexed[i].is_none() && functions.iter().all(|f| f.summary.cacheable()) {
+            index.admit(keys[i], sources[i], functions);
+        }
+    }
+    drop(index);
+    SourcesReport {
+        files,
+        report,
+        parse,
+    }
 }
 
 /// Per-function decision from the serial plan phase.
@@ -409,43 +526,99 @@ enum Plan {
     },
 }
 
-/// Serial planning: decide, per function, whether it is served from the
-/// backend, aliases an earlier function in this batch, or is the
-/// representative that will actually be analyzed. Counts hits and
-/// misses in `stats` and in the backend's cumulative counters.
-///
-/// The batch-local duplicate check runs first and never consults the
-/// backend: the two cases are mutually exclusive (a hash lands in
-/// `slot_of_hash` only after the backend missed on its first
-/// occurrence, and planning never inserts), so counter totals are
-/// identical to checking the backend first.
-fn plan_batch<B: CacheBackend + ?Sized>(
-    hashes: &[u64],
-    cache: &mut B,
-    stats: &mut BatchStats,
-) -> (Vec<(Plan, bool)>, Vec<usize>) {
-    let mut slot_of_hash: HashMap<u64, usize> = HashMap::new();
-    let mut representatives: Vec<usize> = Vec::new();
-    let mut plans: Vec<(Plan, bool)> = Vec::with_capacity(hashes.len());
-    for (i, &hash) in hashes.iter().enumerate() {
-        if let Some(&slot) = slot_of_hash.get(&hash) {
-            // Duplicate within this batch: share the representative's
-            // result. Counts as a hit — it is not analyzed again.
-            stats.hits += 1;
-            cache.note_duplicate_hit();
-            plans.push((Plan::Computed { slot }, true));
-        } else if let Some(summary) = cache.lookup(hash) {
-            stats.hits += 1;
-            plans.push((Plan::Cached(summary), true));
-        } else {
-            stats.misses += 1;
-            let slot = representatives.len();
-            slot_of_hash.insert(hash, slot);
-            representatives.push(i);
-            plans.push((Plan::Computed { slot }, false));
+/// The serial plan of one batch and what it leaves to analyze.
+struct BatchPlan {
+    hashes: Vec<u64>,
+    /// Per function: its plan, and whether it was served from the cache.
+    plans: Vec<(Plan, bool)>,
+    /// Input indices of the functions to analyze: the first occurrence of
+    /// each structure the backend missed, in input order.
+    representatives: Vec<usize>,
+    stats: BatchStats,
+}
+
+impl BatchPlan {
+    /// Serial planning: decide, per function, whether it is served from
+    /// the backend, aliases an earlier function in this batch, or is the
+    /// representative that will actually be analyzed. Counts hits and
+    /// misses in the plan's stats and in the backend's cumulative
+    /// counters.
+    ///
+    /// The batch-local duplicate check runs first and never consults the
+    /// backend: the two cases are mutually exclusive (a hash lands in
+    /// `slot_of_hash` only after the backend missed on its first
+    /// occurrence, and planning never inserts), so counter totals are
+    /// identical to checking the backend first.
+    fn new<B: CacheBackend + ?Sized>(hashes: Vec<u64>, cache: &mut B) -> BatchPlan {
+        let mut stats = BatchStats {
+            functions: hashes.len(),
+            ..BatchStats::default()
+        };
+        let mut slot_of_hash: HashMap<u64, usize> = HashMap::new();
+        let mut representatives: Vec<usize> = Vec::new();
+        let mut plans: Vec<(Plan, bool)> = Vec::with_capacity(hashes.len());
+        for (i, &hash) in hashes.iter().enumerate() {
+            if let Some(&slot) = slot_of_hash.get(&hash) {
+                // Duplicate within this batch: share the representative's
+                // result. Counts as a hit — it is not analyzed again.
+                stats.hits += 1;
+                cache.note_duplicate_hit();
+                plans.push((Plan::Computed { slot }, true));
+            } else if let Some(summary) = cache.lookup(hash) {
+                stats.hits += 1;
+                plans.push((Plan::Cached(summary), true));
+            } else {
+                stats.misses += 1;
+                let slot = representatives.len();
+                slot_of_hash.insert(hash, slot);
+                representatives.push(i);
+                plans.push((Plan::Computed { slot }, false));
+            }
+        }
+        BatchPlan {
+            hashes,
+            plans,
+            representatives,
+            stats,
         }
     }
-    (plans, representatives)
+
+    /// Analyzes `pending` — the functions at the plan's representative
+    /// indices, in that order — commits the results, and assembles the
+    /// input-order report under `names`.
+    fn finish<B: CacheBackend + ?Sized>(
+        self,
+        names: impl IntoIterator<Item = String>,
+        pending: &[&Function],
+        opts: &BatchOptions,
+        cache: &mut B,
+    ) -> BatchReport {
+        let BatchPlan {
+            hashes,
+            plans,
+            representatives,
+            mut stats,
+        } = self;
+        debug_assert_eq!(pending.len(), representatives.len());
+        stats.jobs = resolve_jobs(opts.jobs).min(pending.len()).max(1);
+        let computed = compute_representatives(pending, stats.jobs, &opts.config);
+        commit_batch(&hashes, &representatives, &computed, cache, &mut stats);
+        let functions = plans
+            .into_iter()
+            .zip(names)
+            .zip(hashes)
+            .map(|(((plan, cached), name), hash)| FunctionSummary {
+                name,
+                hash,
+                cached,
+                summary: match plan {
+                    Plan::Cached(s) => s,
+                    Plan::Computed { slot } => Arc::clone(&computed[slot]),
+                },
+            })
+            .collect();
+        BatchReport { functions, stats }
+    }
 }
 
 /// Deterministic cache insertion, in representative (= input) order.
@@ -465,33 +638,6 @@ fn commit_batch<B: CacheBackend + ?Sized>(
         }
         stats.evictions += cache.commit(hashes[i], Arc::clone(&computed[slot]));
     }
-}
-
-/// Resolves every plan into input-order [`FunctionSummary`] blocks.
-fn assemble_report(
-    plans: Vec<(Plan, bool)>,
-    funcs: &[Function],
-    hashes: &[u64],
-    computed: &[Arc<StructuralSummary>],
-    stats: BatchStats,
-) -> BatchReport {
-    let functions = plans
-        .into_iter()
-        .zip(funcs.iter().zip(hashes))
-        .map(|((plan, cached), (func, &hash))| {
-            let summary = match plan {
-                Plan::Cached(s) => s,
-                Plan::Computed { slot } => Arc::clone(&computed[slot]),
-            };
-            FunctionSummary {
-                name: func.name().to_string(),
-                hash,
-                cached,
-                summary,
-            }
-        })
-        .collect();
-    BatchReport { functions, stats }
 }
 
 /// Renders a batch report grouped by input file, exactly as `bivc`
@@ -526,8 +672,9 @@ pub fn render_grouped_with(
 }
 
 /// Computes the statistics a *cold* run over `hashes` would report: a
-/// fresh cache of `capacity` entries, batch-local deduplication, FIFO
-/// eviction. Pure arithmetic — no analysis is performed.
+/// fresh cache of `capacity` entries, batch-local deduplication, and one
+/// eviction per distinct structure inserted beyond capacity. Pure
+/// arithmetic — no analysis is performed.
 ///
 /// This is the determinism anchor for remote serving: a long-running
 /// server answers from a warm shared cache, but its rendered stats line
@@ -543,8 +690,8 @@ pub fn cold_batch_stats(hashes: &[u64], capacity: usize) -> BatchStats {
             distinct += 1;
         }
     }
-    // A fresh FIFO cache only ever evicts once more distinct structures
-    // have been inserted than it can hold.
+    // A fresh cache only ever evicts once more distinct structures have
+    // been inserted than it can hold, and then one per insert.
     let evictions = if capacity == 0 {
         0
     } else {
@@ -565,19 +712,17 @@ pub fn cold_batch_stats(hashes: &[u64], capacity: usize) -> BatchStats {
 /// tagged with its slot; the receive loop reorders into input order, so
 /// no lock is held while a summary is produced.
 fn compute_representatives(
-    funcs: &[Function],
-    representatives: &[usize],
+    reps: &[&Function],
     jobs: usize,
     config: &AnalysisConfig,
 ) -> Vec<Arc<StructuralSummary>> {
-    if representatives.len() <= 1 || jobs == 1 {
-        return representatives
+    if reps.len() <= 1 || jobs == 1 {
+        return reps
             .iter()
-            .map(|&i| Arc::new(summarize(&funcs[i], config)))
+            .map(|f| Arc::new(summarize(f, config)))
             .collect();
     }
     let cursor = AtomicUsize::new(0);
-    let reps = representatives;
     std::thread::scope(|scope| {
         let cursor = &cursor;
         let (tx, rx) = mpsc::channel::<(usize, Arc<StructuralSummary>)>();
@@ -588,7 +733,7 @@ fn compute_representatives(
                 if k >= reps.len() {
                     break;
                 }
-                let summary = Arc::new(summarize(&funcs[reps[k]], config));
+                let summary = Arc::new(summarize(reps[k], config));
                 if tx.send((k, summary)).is_err() {
                     break;
                 }
@@ -826,8 +971,6 @@ impl Fnv1a {
 mod tests {
     use super::*;
     use crate::cache::Locked;
-    use biv_ir::parser::parse_program;
-    use std::sync::Mutex;
 
     fn funcs_of(src: &str) -> Vec<Function> {
         parse_program(src).expect("test source parses").functions
@@ -1019,5 +1162,123 @@ mod tests {
         for (w, c) in warm.functions.iter().zip(&cold.functions) {
             assert_eq!(w.render(), c.render());
         }
+    }
+
+    /// Runs `sources` through the file-index path and renders it as one
+    /// batch, the way `bivd` does.
+    fn serve(
+        sources: &[&str],
+        cache: &mut StructuralCache,
+        index: &Mutex<FileIndex>,
+    ) -> (String, BatchStats) {
+        let opts = BatchOptions {
+            jobs: 1,
+            ..BatchOptions::default()
+        };
+        let served = analyze_sources_with_backend(sources, &opts, cache, index);
+        let ranges: Vec<(String, usize)> = served
+            .files
+            .iter()
+            .enumerate()
+            .filter_map(|(i, f)| f.as_ref().ok().map(|&n| (format!("f{i}"), n)))
+            .collect();
+        let hashes: Vec<u64> = served.report.functions.iter().map(|f| f.hash).collect();
+        let cold = cold_batch_stats(&hashes, cache.capacity());
+        let output = render_grouped_with(&ranges, &served.report.functions, &cold, true);
+        (output, served.report.stats)
+    }
+
+    fn local(sources: &[&str]) -> String {
+        let mut funcs = Vec::new();
+        let mut ranges = Vec::new();
+        for (i, source) in sources.iter().enumerate() {
+            let f = funcs_of(source);
+            ranges.push((format!("f{i}"), f.len()));
+            funcs.extend(f);
+        }
+        let opts = BatchOptions::default();
+        let report = analyze_batch_with_backend(&funcs, &opts, &mut StructuralCache::new(4096));
+        render_grouped_with(&ranges, &report.functions, &report.stats, true)
+    }
+
+    #[test]
+    fn indexed_files_skip_the_parser_with_identical_bytes() {
+        let index = Mutex::new(FileIndex::new(64));
+        let mut cache = StructuralCache::new(64);
+        let expected = local(&[TWO_LOOPS]);
+        for round in 0..4 {
+            let (output, stats) = serve(&[TWO_LOOPS], &mut cache, &index);
+            assert_eq!(output, expected, "round {round}");
+            assert_eq!(stats.hits + stats.misses, 3);
+        }
+        let gauges = index.lock().unwrap().gauges();
+        // Round 0 remembers the file, round 1 admits it, rounds 2 and 3
+        // hit.
+        assert_eq!((gauges.hits, gauges.misses, gauges.entries), (2, 2, 1));
+        assert_eq!(cache.hits() + cache.misses(), 12);
+    }
+
+    #[test]
+    fn an_indexed_file_whose_summaries_left_the_cache_is_parsed_again() {
+        let index = Mutex::new(FileIndex::new(64));
+        let expected = local(&[TWO_LOOPS]);
+        // A cache of one entry keeps at most one of the file's two
+        // structures, so every indexed request has one to analyze.
+        let mut cache = StructuralCache::new(1);
+        for _ in 0..2 {
+            serve(&[TWO_LOOPS], &mut cache, &index);
+        }
+        let before = index.lock().unwrap().gauges().hits;
+        let (output, stats) = serve(&[TWO_LOOPS], &mut cache, &index);
+        assert_eq!(
+            index.lock().unwrap().gauges().hits,
+            before + 1,
+            "an index hit"
+        );
+        assert!(stats.misses > 0, "and a function left to analyze");
+        // Only the stats line may differ: the replay uses capacity 1.
+        let body = |s: &str| s[..s.rfind("batch:").unwrap()].to_string();
+        assert_eq!(body(&output), body(&expected));
+    }
+
+    #[test]
+    fn a_planted_collision_gets_its_own_answer() {
+        let other = "func other(n) { k = 0 L1: for i = 1 to n { k = k + 2 } }\n";
+        let index = Mutex::new(FileIndex::new(64));
+        let mut cache = StructuralCache::new(64);
+        // Plant `other`'s functions under TWO_LOOPS's content key.
+        let planted = {
+            let opts = BatchOptions::default();
+            analyze_batch_with_backend(&funcs_of(other), &opts, &mut StructuralCache::new(8))
+        };
+        for _ in 0..2 {
+            index
+                .lock()
+                .unwrap()
+                .admit(content_key(TWO_LOOPS), other, &planted.functions);
+        }
+        let (output, _) = serve(&[TWO_LOOPS, other], &mut cache, &index);
+        assert_eq!(output, local(&[TWO_LOOPS, other]));
+    }
+
+    #[test]
+    fn parse_errors_are_never_admitted() {
+        let index = Mutex::new(FileIndex::new(64));
+        let mut cache = StructuralCache::new(64);
+        let bad = "func broken( {";
+        for _ in 0..3 {
+            let served = analyze_sources_with_backend(
+                &[bad, TWO_LOOPS],
+                &BatchOptions::default(),
+                &mut cache,
+                &index,
+            );
+            assert!(served.files[0].is_err());
+            assert_eq!(served.files[1].as_ref().ok(), Some(&3));
+            assert_eq!(served.report.functions.len(), 3);
+        }
+        let mut index = index.lock().unwrap();
+        assert_eq!(index.gauges().entries, 1, "only the good file");
+        assert!(index.lookup(content_key(bad), bad).is_none());
     }
 }

@@ -20,6 +20,11 @@
 //! trait over a `&Mutex<B>` by locking once per call, which is how
 //! `bivd`'s workers run their batches against one warm cache.
 //!
+//! Both the memory tier and the [`FileIndex`] (content key → a file's
+//! `(function name, structural hash)` list, which lets a server skip
+//! parsing a file it has seen before) retain entries under one
+//! scan-resistant policy, S3-FIFO.
+//!
 //! # Versioning
 //!
 //! A durable cache outlives the binary that wrote it, so every entry is
@@ -35,9 +40,10 @@
 //! degrade values to `unknown`), so persistent stores additionally key
 //! on [`analysis_fingerprint`], which folds the budget caps in.
 
+use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use crate::batch::{StructuralCache, StructuralSummary};
+use crate::batch::{Fnv1a, FunctionSummary, StructuralCache, StructuralSummary};
 use crate::budget::Budget;
 
 /// The analysis format version stamped into persistent stores.
@@ -259,6 +265,320 @@ impl<B: CacheBackend + ?Sized> CacheBackend for Locked<'_, B> {
     }
 }
 
+/// The content key of a source file: 64-bit FNV-1a over its bytes.
+///
+/// One function keys every use of whole-file identity: fleet routing,
+/// replica placement, and the [`FileIndex`]. Identical sources —
+/// therefore identical structural hashes — always share a key. Distinct
+/// sources may collide, so a key alone never proves two files equal.
+pub fn content_key(source: &str) -> u64 {
+    let mut h = Fnv1a::new();
+    for &b in source.as_bytes() {
+        h.write_u8(b);
+    }
+    h.finish()
+}
+
+/// One retained entry of an [`S3Fifo`].
+#[derive(Debug)]
+struct Slot<V> {
+    value: V,
+    weight: usize,
+    /// Accesses since the entry was queued or last passed over, capped
+    /// at 3.
+    freq: u8,
+}
+
+/// S3-FIFO retention over weighted `u64`-keyed entries (Yang et al.,
+/// "FIFO queues are all you need for cache eviction", SOSP 2023).
+///
+/// A new key enters a small probationary FIFO. When it reaches that
+/// queue's head it moves to the main FIFO if it was accessed since it
+/// entered, and is otherwise dropped and remembered in a key-only ghost
+/// list. A key inserted while the ghost list remembers it goes straight
+/// to the main FIFO. The main FIFO re-queues an entry accessed since
+/// its last pass instead of evicting it. A scan of one-hit keys
+/// therefore churns through the small queue and leaves re-hit entries
+/// in the main queue alone.
+///
+/// Every eviction drops exactly one entry, and an insert evicts only
+/// while the total weight exceeds the capacity — with unit weights,
+/// exactly one eviction per insert beyond capacity, as under FIFO.
+///
+/// With a small capacity of 0 nothing is held on probation: a new key
+/// is only remembered in the ghost list, and stored on its second
+/// insert. A key already stored keeps its entry.
+#[derive(Debug)]
+pub(crate) struct S3Fifo<V> {
+    map: HashMap<u64, Slot<V>>,
+    small: VecDeque<u64>,
+    main: VecDeque<u64>,
+    ghost: Ghost,
+    capacity: usize,
+    small_capacity: usize,
+    small_weight: usize,
+    weight: usize,
+}
+
+impl<V> S3Fifo<V> {
+    /// A policy bounded to `capacity` total weight, of which the
+    /// probationary queue holds up to `small_capacity` before it is
+    /// drained first. The ghost list remembers up to `capacity` keys.
+    pub(crate) fn new(capacity: usize, small_capacity: usize) -> S3Fifo<V> {
+        S3Fifo {
+            map: HashMap::new(),
+            small: VecDeque::new(),
+            main: VecDeque::new(),
+            ghost: Ghost::new(capacity),
+            capacity,
+            small_capacity,
+            small_weight: 0,
+            weight: 0,
+        }
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.map.len()
+    }
+
+    pub(crate) fn weight(&self) -> usize {
+        self.weight
+    }
+
+    pub(crate) fn capacity(&self) -> usize {
+        self.capacity
+    }
+
+    /// The entry under `key` if `accept` approves it, recording an
+    /// access only then.
+    pub(crate) fn get_if(&mut self, key: u64, accept: impl FnOnce(&V) -> bool) -> Option<&V> {
+        let slot = self.map.get_mut(&key)?;
+        if !accept(&slot.value) {
+            return None;
+        }
+        slot.freq = (slot.freq + 1).min(3);
+        Some(&slot.value)
+    }
+
+    /// Stores `make()` under a new `key` with `weight` — or, when the
+    /// probationary queue has no room by design, only remembers the key
+    /// — and returns how many entries were evicted. A weight beyond the
+    /// capacity is never stored, and a stored key is left as it is.
+    pub(crate) fn insert_with(
+        &mut self,
+        key: u64,
+        weight: usize,
+        make: impl FnOnce() -> V,
+    ) -> usize {
+        if weight > self.capacity || self.capacity == 0 || self.map.contains_key(&key) {
+            return 0;
+        }
+        let probation = !self.ghost.forget(key);
+        if probation && self.small_capacity == 0 {
+            self.ghost.remember(key);
+            return 0;
+        }
+        let queue = if probation {
+            self.small_weight += weight;
+            &mut self.small
+        } else {
+            &mut self.main
+        };
+        queue.push_back(key);
+        let value = make();
+        self.map.insert(
+            key,
+            Slot {
+                value,
+                weight,
+                freq: 0,
+            },
+        );
+        self.weight += weight;
+        let mut evicted = 0;
+        while self.weight > self.capacity {
+            self.evict_one();
+            evicted += 1;
+        }
+        evicted
+    }
+
+    /// Drops exactly one entry: the probationary queue's first
+    /// unaccessed entry while that queue is at its share (or the main
+    /// queue is empty), else the main queue's first unaccessed entry.
+    fn evict_one(&mut self) {
+        loop {
+            let from_small = !self.small.is_empty()
+                && (self.small_weight >= self.small_capacity || self.main.is_empty());
+            let queue = if from_small {
+                &mut self.small
+            } else {
+                &mut self.main
+            };
+            let key = queue
+                .pop_front()
+                .expect("an over-capacity policy holds an entry");
+            let slot = self.map.get_mut(&key).expect("queued keys are mapped");
+            if slot.freq > 0 {
+                if from_small {
+                    slot.freq = 0;
+                    self.small_weight -= slot.weight;
+                } else {
+                    slot.freq -= 1;
+                }
+                self.main.push_back(key);
+                continue;
+            }
+            let slot = self.map.remove(&key).expect("queued keys are mapped");
+            self.weight -= slot.weight;
+            if from_small {
+                self.small_weight -= slot.weight;
+                self.ghost.remember(key);
+            }
+            return;
+        }
+    }
+}
+
+/// A bounded FIFO of remembered keys, with no values.
+#[derive(Debug)]
+struct Ghost {
+    /// Key → the sequence number of its live place in `order`.
+    keys: HashMap<u64, u64>,
+    order: VecDeque<(u64, u64)>,
+    next: u64,
+    capacity: usize,
+}
+
+impl Ghost {
+    fn new(capacity: usize) -> Ghost {
+        Ghost {
+            keys: HashMap::new(),
+            order: VecDeque::new(),
+            next: 0,
+            capacity,
+        }
+    }
+
+    fn remember(&mut self, key: u64) {
+        if self.capacity == 0 {
+            return;
+        }
+        self.keys.insert(key, self.next);
+        self.order.push_back((key, self.next));
+        self.next += 1;
+        // `order` may hold places of keys since forgotten or
+        // remembered again; only a key's live place removes it.
+        while self.order.len() > self.capacity {
+            let (old, seq) = self.order.pop_front().expect("over capacity");
+            if self.keys.get(&old) == Some(&seq) {
+                self.keys.remove(&old);
+            }
+        }
+    }
+
+    /// Whether `key` was remembered; it is forgotten either way.
+    fn forget(&mut self, key: u64) -> bool {
+        self.keys.remove(&key).is_some()
+    }
+}
+
+/// A file the [`FileIndex`] admitted.
+#[derive(Debug)]
+struct IndexedFile {
+    source: Box<str>,
+    functions: Arc<[(String, u64)]>,
+}
+
+/// Point-in-time counters of a [`FileIndex`], reported by `bivd`'s
+/// `stats` endpoint under the `files` key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct FileGauges {
+    /// Files currently indexed.
+    pub entries: usize,
+    /// Functions across the indexed files.
+    pub functions: usize,
+    /// The bound on `functions`.
+    pub capacity: usize,
+    /// Lookups that found the file (its bytes compared equal).
+    pub hits: u64,
+    /// Lookups that did not.
+    pub misses: u64,
+}
+
+/// Maps a source file's [`content_key`] to the file's bytes and its
+/// `[(function name, structural hash)]` list, so a file seen before is
+/// served from the structural cache without being parsed or hashed.
+///
+/// - **Byte compare.** A hit is returned only when the stored source
+///   equals the looked-up source byte for byte: two sources that collide
+///   on the 64-bit key still get their own answers.
+/// - **Admission on second sighting.** The first [`admit`] of a key only
+///   remembers it in a key-only ghost list; the second stores the file.
+///   A stream of one-off files stores no sources.
+/// - **Bound.** Entries weigh their function count, and the total never
+///   exceeds the capacity given (the memory tier's, in `bivd`), under
+///   the same S3-FIFO retention as the memory tier.
+///
+/// [`admit`]: FileIndex::admit
+#[derive(Debug)]
+pub struct FileIndex {
+    files: S3Fifo<IndexedFile>,
+    hits: u64,
+    misses: u64,
+}
+
+impl FileIndex {
+    /// An index holding at most `capacity` functions across its files.
+    pub fn new(capacity: usize) -> FileIndex {
+        FileIndex {
+            files: S3Fifo::new(capacity, 0),
+            hits: 0,
+            misses: 0,
+        }
+    }
+
+    /// The functions of the file stored under `key`, if its source is
+    /// exactly `source`. Counts one hit or one miss.
+    pub fn lookup(&mut self, key: u64, source: &str) -> Option<Arc<[(String, u64)]>> {
+        let found = self
+            .files
+            .get_if(key, |file| *file.source == *source)
+            .map(|file| Arc::clone(&file.functions));
+        if found.is_some() {
+            self.hits += 1;
+        } else {
+            self.misses += 1;
+        }
+        found
+    }
+
+    /// Offers `source` under `key`, with `functions` its batch results in
+    /// file order: stored on the key's second offer, remembered on its
+    /// first. A key already stored keeps its file, so a source that
+    /// collides with it is parsed on every request. The caller vouches
+    /// that `functions` is what `source` parses to.
+    pub fn admit(&mut self, key: u64, source: &str, functions: &[FunctionSummary]) {
+        // Weight at least 1, so empty files count against the bound too.
+        self.files
+            .insert_with(key, functions.len().max(1), || IndexedFile {
+                source: source.into(),
+                functions: functions.iter().map(|f| (f.name.clone(), f.hash)).collect(),
+            });
+    }
+
+    /// The index's counters and occupancy.
+    pub fn gauges(&self) -> FileGauges {
+        FileGauges {
+            entries: self.files.len(),
+            functions: self.files.weight(),
+            capacity: self.files.capacity(),
+            hits: self.hits,
+            misses: self.misses,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -324,5 +644,153 @@ mod tests {
         });
         assert_ne!(unlimited, capped);
         assert_eq!(capped, "nodes=-,scc=64,order=-");
+    }
+
+    fn empty() -> Arc<StructuralSummary> {
+        Arc::new(StructuralSummary::from_loops(Vec::new()))
+    }
+
+    #[test]
+    fn rehit_entries_survive_a_scan_of_one_hit_inserts() {
+        const CAPACITY: usize = 1024;
+        const HOT: u64 = 256;
+        let mut cache = StructuralCache::new(CAPACITY);
+        for hash in 0..HOT {
+            cache.insert(hash, empty());
+        }
+        for hash in 0..HOT {
+            assert!(cache.lookup(hash).is_some());
+        }
+        let scan = 4 * CAPACITY as u64;
+        let mut evicted = 0;
+        for hash in HOT..HOT + scan {
+            evicted += cache.insert(hash, empty());
+            assert!(cache.len() <= CAPACITY, "the bound holds throughout");
+        }
+        assert_eq!(
+            evicted as u64,
+            HOT + scan - CAPACITY as u64,
+            "exactly one eviction per insert beyond capacity"
+        );
+        for hash in 0..HOT {
+            assert!(cache.lookup(hash).is_some(), "hot entry {hash} was flushed");
+        }
+    }
+
+    #[test]
+    fn a_ghost_hit_goes_straight_to_the_main_queue() {
+        let mut cache = StructuralCache::new(10);
+        for hash in 0..11 {
+            cache.insert(hash, empty());
+        }
+        // Entry 0 fell out unaccessed and is remembered as a ghost; its
+        // return skips probation, so the next scan cannot drop it.
+        assert!(cache.lookup(0).is_none());
+        cache.insert(0, empty());
+        for hash in 100..200 {
+            cache.insert(hash, empty());
+        }
+        assert!(cache.lookup(0).is_some());
+        assert_eq!(cache.len(), 10);
+    }
+
+    #[test]
+    fn tiny_capacities_evict_one_per_insert_beyond_them() {
+        for capacity in [0usize, 1, 2, 3, 9, 10, 11] {
+            let mut cache = StructuralCache::new(capacity);
+            let mut evicted = 0;
+            for hash in 0..25u64 {
+                evicted += cache.insert(hash, empty());
+                if hash % 3 == 0 {
+                    cache.lookup(hash);
+                }
+                assert!(cache.len() <= capacity);
+            }
+            let expected = if capacity == 0 { 0 } else { 25 - capacity };
+            assert_eq!(evicted, expected, "capacity {capacity}");
+            assert_eq!(cache.evictions(), expected as u64);
+        }
+    }
+
+    fn summaries(names: &[(&str, u64)]) -> Vec<crate::batch::FunctionSummary> {
+        names
+            .iter()
+            .map(|&(name, hash)| crate::batch::FunctionSummary {
+                name: name.to_string(),
+                hash,
+                cached: false,
+                summary: empty(),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn the_file_index_admits_on_second_sighting() {
+        let mut index = FileIndex::new(16);
+        let source = "func f(n) { }";
+        let key = content_key(source);
+        let functions = summaries(&[("f", 7)]);
+        assert!(index.lookup(key, source).is_none());
+        index.admit(key, source, &functions);
+        assert_eq!(index.gauges().entries, 0, "a first sighting stores nothing");
+        assert!(index.lookup(key, source).is_none());
+        index.admit(key, source, &functions);
+        let found = index
+            .lookup(key, source)
+            .expect("admitted on the second sighting");
+        assert_eq!(&*found, &[("f".to_string(), 7)]);
+        let gauges = index.gauges();
+        assert_eq!(
+            (gauges.entries, gauges.functions, gauges.capacity),
+            (1, 1, 16)
+        );
+        assert_eq!((gauges.hits, gauges.misses), (1, 2));
+    }
+
+    #[test]
+    fn a_forged_key_collision_never_serves_the_other_file() {
+        let mut index = FileIndex::new(16);
+        let (a, b) = ("func a(n) { }", "func b(n) { }");
+        let key = content_key(a);
+        for _ in 0..2 {
+            index.admit(key, a, &summaries(&[("a", 1)]));
+        }
+        assert!(index.lookup(key, b).is_none(), "b's bytes differ from a's");
+        assert_eq!(&*index.lookup(key, a).unwrap(), &[("a".to_string(), 1)]);
+        // Offering b under the same key keeps a: b is parsed every time,
+        // never answered with a's functions.
+        index.admit(key, b, &summaries(&[("b", 2)]));
+        assert!(index.lookup(key, b).is_none());
+        assert_eq!(&*index.lookup(key, a).unwrap(), &[("a".to_string(), 1)]);
+    }
+
+    #[test]
+    fn the_file_index_is_bounded_in_functions_and_resists_one_off_files() {
+        let mut index = FileIndex::new(8);
+        let hot: Vec<String> = (0..2).map(|k| format!("func hot{k}(n) {{ }}")).collect();
+        let four = summaries(&[("f", 1), ("g", 2), ("h", 3), ("i", 4)]);
+        for source in &hot {
+            index.admit(content_key(source), source, &four);
+            index.admit(content_key(source), source, &four);
+        }
+        assert_eq!(index.gauges().functions, 8);
+        for k in 0..1000 {
+            let fresh = format!("func fresh{k}(n) {{ }}");
+            index.admit(content_key(&fresh), &fresh, &four);
+        }
+        for source in &hot {
+            assert!(index.lookup(content_key(source), source).is_some());
+        }
+        // Past the bound, the unaccessed entry goes.
+        let third = "func third(n) { }";
+        index.admit(content_key(third), third, &four);
+        index.admit(content_key(third), third, &four);
+        assert_eq!(index.gauges().functions, 8);
+        assert_eq!(index.gauges().entries, 2);
+        // A file larger than the whole bound is never stored.
+        let huge = summaries(&[("x", 1); 9]);
+        index.admit(1, "huge", &huge);
+        index.admit(1, "huge", &huge);
+        assert!(index.lookup(1, "huge").is_none());
     }
 }

@@ -64,13 +64,14 @@ mod tripcount;
 pub mod validate;
 
 pub use batch::{
-    analyze_batch_with_backend, cold_batch_stats, render_grouped_with, resolve_jobs,
-    structural_hash, BatchOptions, BatchReport, BatchStats, FunctionSummary, LoopSummary,
-    StructuralCache, StructuralSummary,
+    analyze_batch_with_backend, analyze_sources_with_backend, cold_batch_stats,
+    render_grouped_with, resolve_jobs, structural_hash, BatchOptions, BatchReport, BatchStats,
+    FunctionSummary, LoopSummary, SourcesReport, StructuralCache, StructuralSummary,
 };
 pub use budget::{Budget, BudgetBreach, BudgetMeter};
 pub use cache::{
-    analysis_fingerprint, CacheBackend, CacheGauges, Locked, StoreGauges, FORMAT_VERSION,
+    analysis_fingerprint, content_key, CacheBackend, CacheGauges, FileGauges, FileIndex, Locked,
+    StoreGauges, FORMAT_VERSION,
 };
 pub use class::{Class, ClosedForm, Direction, FamilyAnchor, Monotonic, Periodic};
 pub use classify::{

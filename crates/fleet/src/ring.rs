@@ -29,15 +29,10 @@ fn mix(mut x: u64) -> u64 {
 /// The content key a file routes by: 64-bit FNV-1a over the source
 /// bytes. Identical sources — therefore identical structural hashes —
 /// always share a key, so routing respects the structural partition of
-/// the summary keyspace without parsing anything client-side.
-pub fn content_key(source: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in source.as_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
+/// the summary keyspace without parsing anything client-side. The one
+/// definition lives in `biv_core`, where `bivd`'s file index keys by it
+/// too.
+pub use biv_core::content_key;
 
 /// A consistent-hash ring over `shard_count` shards.
 #[derive(Debug, Clone)]

@@ -186,7 +186,7 @@ pub fn fleet_stats_with_timeout(endpoints: &[String], timeout: Duration) -> Resu
         .unwrap_or(0);
 
     let mut totals = vec![("uptime_ms", Json::Int(uptime_max))];
-    for section in ["requests", "queue", "cache"] {
+    for section in ["requests", "queue", "cache", "files"] {
         if let Some(sum) = sum_section(&snapshots, section) {
             totals.push((section, sum));
         }

@@ -13,7 +13,7 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use biv_bench::latency::{LatencySnapshot, LatencyWindow};
-use biv_core::{CacheGauges, StoreGauges};
+use biv_core::{CacheGauges, FileGauges, StoreGauges};
 
 use crate::json::Json;
 
@@ -155,8 +155,7 @@ impl Metrics {
         &self,
         queue_depth: usize,
         queue_capacity: usize,
-        cache: CacheGauges,
-        store: Option<StoreGauges>,
+        tiers: TierGauges,
         workers: usize,
         shard: ShardInfo,
     ) -> Json {
@@ -193,7 +192,8 @@ impl Metrics {
                     ("capacity", Json::Int(queue_capacity as i64)),
                 ]),
             ),
-            ("cache", cache_json(&cache)),
+            ("cache", cache_json(&tiers.cache)),
+            ("files", files_json(&tiers.files)),
             ("workers", Json::Int(workers as i64)),
             (
                 "latency",
@@ -206,11 +206,23 @@ impl Metrics {
                 ]),
             ),
         ];
-        if let Some(s) = store {
-            fields.insert(6, ("store", store_json(&s)));
+        if let Some(s) = tiers.store {
+            fields.insert(7, ("store", store_json(&s)));
         }
         Json::obj(fields)
     }
+}
+
+/// The gauges of a server's cache layers, as one stats snapshot
+/// renders them.
+#[derive(Debug, Clone, Copy)]
+pub struct TierGauges {
+    /// The memory tier (`cache`).
+    pub cache: CacheGauges,
+    /// The file index (`files`).
+    pub files: FileGauges,
+    /// The durable tier (`store`), when one is attached.
+    pub store: Option<StoreGauges>,
 }
 
 /// A server's fleet identity and age, rendered into every stats
@@ -246,6 +258,18 @@ pub fn cache_json(c: &CacheGauges) -> Json {
         ("evictions", Json::Int(c.evictions as i64)),
         ("entries", Json::Int(c.entries as i64)),
         ("capacity", Json::Int(c.capacity as i64)),
+    ])
+}
+
+/// Renders a file index's gauges as the daemon's `files` stats object.
+/// `bivc --stats-json` has no file index and omits the key.
+fn files_json(f: &FileGauges) -> Json {
+    Json::obj(vec![
+        ("entries", Json::Int(f.entries as i64)),
+        ("functions", Json::Int(f.functions as i64)),
+        ("capacity", Json::Int(f.capacity as i64)),
+        ("hits", Json::Int(f.hits as i64)),
+        ("misses", Json::Int(f.misses as i64)),
     ])
 }
 
@@ -299,14 +323,17 @@ mod tests {
         let json = m.snapshot_json(
             2,
             64,
-            CacheGauges {
-                hits: 7,
-                misses: 5,
-                evictions: 1,
-                entries: 5,
-                capacity: 4096,
+            TierGauges {
+                cache: CacheGauges {
+                    hits: 7,
+                    misses: 5,
+                    evictions: 1,
+                    entries: 5,
+                    capacity: 4096,
+                },
+                files: FileGauges::default(),
+                store: None,
             },
-            None,
             4,
             ShardInfo::single(Duration::from_millis(1234)),
         );
@@ -350,14 +377,17 @@ mod tests {
         let json = m.snapshot_json(
             0,
             64,
-            CacheGauges {
-                hits: 0,
-                misses: 0,
-                evictions: 0,
-                entries: 0,
-                capacity: 4096,
+            TierGauges {
+                cache: CacheGauges {
+                    hits: 0,
+                    misses: 0,
+                    evictions: 0,
+                    entries: 0,
+                    capacity: 4096,
+                },
+                files: FileGauges::default(),
+                store: Some(gauges),
             },
-            Some(gauges),
             2,
             ShardInfo {
                 shard_id: 2,

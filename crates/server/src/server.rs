@@ -41,18 +41,16 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use biv_core::{
-    analyze_batch_with_backend, cold_batch_stats, render_grouped_with, resolve_jobs,
-    AnalysisConfig, BatchOptions, Budget, CacheBackend, Locked, StructuralCache,
+    analyze_sources_with_backend, cold_batch_stats, render_grouped_with, resolve_jobs,
+    AnalysisConfig, BatchOptions, Budget, CacheBackend, FileIndex, Locked, StructuralCache,
 };
-use biv_ir::parser::parse_program;
-use biv_ir::Function;
 use biv_store::{Store, StoreOptions, TieredCache};
 
 use crate::cluster::{ClusterHandle, View};
 #[cfg(unix)]
 pub(crate) use crate::event::Reply;
 use crate::frame::MAX_FRAME_BYTES;
-use crate::metrics::{Metrics, PhaseSample, ShardInfo};
+use crate::metrics::{Metrics, PhaseSample, ShardInfo, TierGauges};
 use crate::net::{Endpoint, Listener};
 use crate::pool::{JobQueue, PushError};
 use crate::proto::{AnalyzeFile, FileError, FleetFile, ReplicaEntry, Request, Response};
@@ -193,6 +191,10 @@ pub(crate) struct Shared<'a> {
     pub(crate) workers: usize,
     pub(crate) queue: JobQueue<Job>,
     pub(crate) cache: Mutex<Box<dyn CacheBackend + Send>>,
+    /// Files seen before: content key → source and `(name, structural
+    /// hash)` list, so a hot file skips the parser. Bounded by the
+    /// memory tier's capacity, in functions.
+    pub(crate) files: Mutex<FileIndex>,
     pub(crate) metrics: Metrics,
     pub(crate) started: Instant,
     pub(crate) shutdown: &'a AtomicBool,
@@ -223,6 +225,7 @@ impl<'a> Shared<'a> {
             workers: resolve_jobs(config.workers),
             queue: JobQueue::new(config.queue_cap),
             cache: Mutex::new(backend),
+            files: Mutex::new(FileIndex::new(config.cache_cap)),
             metrics: Metrics::new(),
             started: Instant::now(),
             shutdown,
@@ -321,11 +324,12 @@ impl Server {
     }
 }
 
-/// One worker: pop, parse, classify through the shared cache, render,
-/// reply. If the request already timed out or its connection died, the
-/// event loop discards the result and counts it late; the worker moves
-/// on (this is the whole worker-recovery story: workers never carry
-/// state from one request into the next).
+/// One worker: pop, find each file's functions (file index or parse),
+/// classify through the shared cache, render, reply. If the request
+/// already timed out or its connection died, the event loop discards
+/// the result and counts it late; the worker moves on (this is the
+/// whole worker-recovery story: workers never carry state from one
+/// request into the next).
 ///
 /// Each job runs inside `catch_unwind`, so a panic in analysis answers
 /// that one request with an `internal` error and the worker keeps
@@ -434,7 +438,15 @@ fn process_job(shared: &Shared<'_>, opts: &BatchOptions, job: &Job) -> Response 
     }
 }
 
-/// Parse, classify through the shared cache, render, record metrics.
+/// Find each file's functions, classify through the shared cache,
+/// render, record metrics.
+///
+/// A file the index holds skips the parser: its stored structural
+/// hashes go straight to the batch plan, and it is parsed again only if
+/// the plan leaves one of its functions to analyze
+/// ([`analyze_sources_with_backend`]). Either way the summaries, names
+/// and rendering are the same, so the bytes are too. The `parse` phase
+/// records the index lookups plus any parsing.
 ///
 /// In `fleet` shape the response carries one block per *file* (header +
 /// that file's function summaries) plus the file's structural hashes,
@@ -453,23 +465,18 @@ fn process_analyze(
     let queue_wait = submitted.elapsed();
 
     let t = Instant::now();
-    let mut funcs: Vec<Function> = Vec::new();
+    let sources: Vec<&str> = files.iter().map(|f| f.source.as_str()).collect();
+    let served =
+        analyze_sources_with_backend(&sources, opts, &mut Locked(&shared.cache), &shared.files);
+    let parse = served.parse;
+    let analyze = t.elapsed().saturating_sub(parse);
+    let report = served.report;
     // Per input file: its function count, or its parse error.
-    let mut parsed: Vec<Result<usize, String>> = Vec::with_capacity(files.len());
-    for file in files {
-        match parse_program(&file.source) {
-            Ok(program) => {
-                parsed.push(Ok(program.functions.len()));
-                funcs.extend(program.functions);
-            }
-            Err(e) => parsed.push(Err(format!("{}: parse error: {e}", file.path))),
-        }
-    }
-    let parse = t.elapsed();
-
-    let t = Instant::now();
-    let report = analyze_batch_with_backend(&funcs, opts, &mut Locked(&shared.cache));
-    let analyze = t.elapsed();
+    let parsed: Vec<Result<usize, String>> = files
+        .iter()
+        .zip(served.files)
+        .map(|(file, outcome)| outcome.map_err(|e| format!("{}: parse error: {e}", file.path)))
+        .collect();
 
     // Replica write-through: hand each file's committed summaries to
     // the cluster agent, keyed by the file's source (the agent derives
@@ -798,11 +805,19 @@ fn stats_json(shared: &Shared<'_>) -> crate::json::Json {
     let gauges = backend.gauges();
     let store = backend.store_gauges();
     drop(backend);
+    let files = shared
+        .files
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+        .gauges();
     let mut stats = shared.metrics.snapshot_json(
         shared.queue.depth(),
         shared.queue.capacity(),
-        gauges,
-        store,
+        TierGauges {
+            cache: gauges,
+            files,
+            store,
+        },
         shared.workers,
         ShardInfo {
             shard_id: shared.config.shard_id,

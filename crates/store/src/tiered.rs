@@ -60,7 +60,7 @@ impl TieredCache {
 
 impl CacheBackend for TieredCache {
     fn lookup(&mut self, hash: u64) -> Option<Arc<StructuralSummary>> {
-        if let Some(summary) = self.mem.peek(hash) {
+        if let Some(summary) = self.mem.get(hash) {
             self.mem.note_hit();
             return Some(summary);
         }

@@ -295,6 +295,8 @@ fn cli_stats_json_reports_memory_and_disk_counters() {
         "no store without --cache-dir"
     );
     assert!(mem_only.get("cache").is_some());
+    // The file index lives in `bivd` alone; the CLI omits its object.
+    assert!(cold.get("files").is_none() && mem_only.get("files").is_none());
     std::fs::remove_dir_all(&dir).ok();
 }
 
