@@ -2,11 +2,9 @@
 //!
 //! [`fleet_stats`] polls every shard's `stats` endpoint and folds the
 //! snapshots into one object: counter sections (`requests`, `queue`,
-//! `cache`, `store`) are summed field-by-field, latency windows are
-//! merged (exact for `count`/`mean`/`max`; percentiles are
-//! count-weighted averages of the shard percentiles — the summaries do
-//! not carry enough to merge them exactly, and the approximation is
-//! what the raw per-shard snapshots, also included, let you check).
+//! `cache`, `store`) are summed field-by-field, and each latency
+//! phase's histogram buckets are added, so the fleet percentiles are
+//! exactly those of one histogram fed every shard's window.
 //!
 //! [`drain_shard`] drives the warm-handoff half of a rebalance:
 //!
@@ -27,51 +25,9 @@
 
 use std::time::{Duration, Instant};
 
+use biv_server::metrics::{PhaseLatency, PHASES};
 use biv_server::net::Endpoint;
 use biv_server::{Client, Json, Request, Response};
-
-/// One phase's merged latency summary across shards.
-#[derive(Debug, Default, Clone, Copy)]
-struct MergedWindow {
-    count: i64,
-    /// `Σ count·mean`, divided out at render time.
-    mean_weight: i64,
-    p50_weight: i64,
-    p90_weight: i64,
-    p99_weight: i64,
-    max_us: i64,
-}
-
-impl MergedWindow {
-    fn absorb(&mut self, window: &Json) {
-        let int = |key: &str| window.get(key).and_then(Json::as_i64).unwrap_or(0);
-        let count = int("count");
-        self.count += count;
-        self.mean_weight += count.saturating_mul(int("mean_us"));
-        self.p50_weight += count.saturating_mul(int("p50_us"));
-        self.p90_weight += count.saturating_mul(int("p90_us"));
-        self.p99_weight += count.saturating_mul(int("p99_us"));
-        self.max_us = self.max_us.max(int("max_us"));
-    }
-
-    fn render(&self) -> Json {
-        let avg = |weight: i64| {
-            if self.count == 0 {
-                Json::Int(0)
-            } else {
-                Json::Int(weight / self.count)
-            }
-        };
-        Json::obj(vec![
-            ("count", Json::Int(self.count)),
-            ("mean_us", avg(self.mean_weight)),
-            ("p50_us", avg(self.p50_weight)),
-            ("p90_us", avg(self.p90_weight)),
-            ("p99_us", avg(self.p99_weight)),
-            ("max_us", Json::Int(self.max_us)),
-        ])
-    }
-}
 
 /// Sums the integer fields of `section` across shard snapshots,
 /// preserving the field order of the first shard that has the section.
@@ -102,20 +58,21 @@ fn sum_section(snapshots: &[Json], section: &str) -> Option<Json> {
     Some(Json::Obj(pairs))
 }
 
-/// Merges per-phase latency windows across shard snapshots.
+/// Merges each latency phase across shard snapshots and renders it
+/// with the daemon's own code: lifetime counts and maxima combine, and
+/// the windows' buckets add.
 fn merge_latency(snapshots: &[Json]) -> Json {
-    let phases = ["queue_wait", "parse", "analyze", "render", "total"];
     Json::obj(
-        phases
-            .iter()
-            .map(|&phase| {
-                let mut merged = MergedWindow::default();
+        PHASES
+            .into_iter()
+            .map(|phase| {
+                let mut merged = PhaseLatency::default();
                 for snap in snapshots {
-                    if let Some(window) = snap.get("latency").and_then(|l| l.get(phase)) {
-                        merged.absorb(window);
+                    if let Some(shard) = snap.get("latency").and_then(|l| l.get(phase)) {
+                        merged.merge(&PhaseLatency::from_json(shard));
                     }
                 }
-                (phase, merged.render())
+                (phase, merged.to_json())
             })
             .collect(),
     )
@@ -129,10 +86,10 @@ fn merge_latency(snapshots: &[Json]) -> Json {
 /// - `fleet`: shard count, how many answered, the unreachable
 ///   endpoints;
 /// - `totals`: summed `requests`/`queue`/`cache`/`store` sections,
-///   summed `workers`, the merged `latency` windows, and the maximum
+///   summed `workers`, the merged `latency` phases, and the maximum
 ///   shard `uptime_ms`;
 /// - `shards`: each answering shard's raw snapshot, annotated with its
-///   endpoint — ground truth for anything the aggregation approximates.
+///   endpoint.
 ///
 /// # Errors
 /// Only when *no* shard answers.
@@ -328,37 +285,42 @@ pub fn drain_shard(
 mod tests {
     use super::*;
 
-    fn window(count: i64, mean: i64, p50: i64, max: i64) -> Json {
-        Json::obj(vec![
-            ("count", Json::Int(count)),
-            ("mean_us", Json::Int(mean)),
-            ("p50_us", Json::Int(p50)),
-            ("p90_us", Json::Int(p50)),
-            ("p99_us", Json::Int(p50)),
-            ("max_us", Json::Int(max)),
-        ])
+    fn latency(samples: &[u64]) -> PhaseLatency {
+        let mut latency = PhaseLatency::default();
+        for &us in samples {
+            latency.count += 1;
+            latency.sum_us += us;
+            latency.max_us = latency.max_us.max(us);
+            latency.window.record(us);
+        }
+        latency
+    }
+
+    fn snapshot(total: &PhaseLatency) -> Json {
+        Json::obj(vec![(
+            "latency",
+            Json::obj(vec![("total", total.to_json())]),
+        )])
     }
 
     #[test]
-    fn merged_windows_weight_by_count() {
-        let a = Json::obj(vec![(
-            "latency",
-            Json::obj(vec![("total", window(3, 100, 90, 200))]),
-        )]);
-        let b = Json::obj(vec![(
-            "latency",
-            Json::obj(vec![("total", window(1, 500, 500, 500))]),
-        )]);
+    fn merged_percentiles_equal_one_histogram_of_every_sample() {
+        let a = snapshot(&latency(&[100, 100, 100]));
+        let b = snapshot(&latency(&[5_000]));
         let merged = merge_latency(&[a, b]);
         let total = merged.get("total").unwrap();
+        assert_eq!(total, &latency(&[100, 100, 100, 5_000]).to_json());
         assert_eq!(total.get("count").unwrap().as_i64(), Some(4));
-        // (3·100 + 1·500) / 4 = 200
-        assert_eq!(total.get("mean_us").unwrap().as_i64(), Some(200));
-        assert_eq!(total.get("max_us").unwrap().as_i64(), Some(500));
+        assert_eq!(total.get("mean_us").unwrap().as_i64(), Some(1_325));
+        assert_eq!(total.get("p50_us").unwrap().as_i64(), Some(100));
+        // Averaging the shard p99s would read (3·100 + 5000) / 4.
+        let p99 = total.get("p99_us").unwrap().as_i64().unwrap();
+        assert!((4_992..=5_000).contains(&p99), "p99 {p99}");
+        assert_eq!(total.get("max_us").unwrap().as_i64(), Some(5_000));
         // Empty phases stay well-defined zeros.
         let parse = merged.get("parse").unwrap();
         assert_eq!(parse.get("count").unwrap().as_i64(), Some(0));
-        assert_eq!(parse.get("mean_us").unwrap().as_i64(), Some(0));
+        assert_eq!(parse.get("p99_us").unwrap().as_i64(), Some(0));
     }
 
     #[test]

@@ -1,38 +1,223 @@
-//! Live server metrics: request counters and per-phase latency windows.
+//! Live server metrics: request counters and per-phase latency
+//! histograms.
 //!
 //! Counters are lock-free atomics bumped on the hot path; latency
-//! samples go through a mutex-guarded [`LatencyWindow`] per phase
-//! (four uncontended lock acquisitions per request — noise next to an
-//! analysis). The `stats` request renders everything as one JSON
-//! object via [`Metrics::snapshot_json`], reusing the bench harness's
-//! percentile machinery so the daemon and the benchmarks agree on what
-//! "p99" means.
+//! samples go into one log-linear [`Histogram`] per phase, behind one
+//! uncontended mutex taken once per request. [`Metrics::snapshot_json`]
+//! renders the `stats` payload; each phase carries its window's sparse
+//! buckets, so a fleet merges shards exactly by adding counts
+//! ([`PhaseLatency::merge`]).
+//!
+//! The bucket layout is HdrHistogram's (Gil Tene,
+//! <http://hdrhistogram.org>): 32 linear sub-buckets per power of two,
+//! over whole microseconds. Values below 64 µs are exact; a larger
+//! value's bucket is at most 1/32 of its lower bound wide.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
-use biv_bench::latency::{LatencySnapshot, LatencyWindow};
 use biv_core::{CacheGauges, FileGauges, StoreGauges};
 
 use crate::json::Json;
 
-/// How many recent samples each phase window retains.
-const WINDOW: usize = 1024;
+/// Records per recency epoch. Percentiles cover the previous and the
+/// current epoch: the last `WINDOW` to `2·WINDOW − 1` samples.
+const WINDOW: u64 = 1024;
 
-/// The request phases measured per analyze request.
-#[derive(Debug)]
-struct Phases {
-    /// Submit-to-dequeue wait in the bounded queue.
-    queue_wait: LatencyWindow,
-    /// Front-end parsing of the request's files.
-    parse: LatencyWindow,
-    /// Classification (plan + analyze + cache commit).
-    analyze: LatencyWindow,
-    /// Rendering the response text.
-    render: LatencyWindow,
-    /// Submit-to-response wall clock.
-    total: LatencyWindow,
+/// Linear sub-buckets per power of two.
+const SUB_BUCKETS: u64 = 32;
+
+/// Values below this have a bucket of their own.
+const EXACT: u64 = 2 * SUB_BUCKETS;
+
+/// Buckets covering every `u64`: the 64 exact ones, then 32 for each
+/// power of two from 2⁶ to 2⁶³.
+const BUCKETS: usize = (EXACT + (64 - 6) * SUB_BUCKETS) as usize;
+
+/// The bucket holding `us`.
+fn bucket_index(us: u64) -> usize {
+    if us < EXACT {
+        return us as usize;
+    }
+    let exp = u64::from(63 - us.leading_zeros()); // ≥ 6
+    let sub = (us >> (exp - 5)) - SUB_BUCKETS; // the top six bits, less the leading one
+    (EXACT + (exp - 6) * SUB_BUCKETS + sub) as usize
+}
+
+/// The smallest and largest value that fall into bucket `index`.
+fn bucket_bounds(index: usize) -> (u64, u64) {
+    let i = index as u64;
+    if i < EXACT {
+        return (i, i);
+    }
+    let shift = (i - EXACT) / SUB_BUCKETS + 1;
+    let low = (SUB_BUCKETS + (i - EXACT) % SUB_BUCKETS) << shift;
+    (low, low + ((1 << shift) - 1))
+}
+
+/// A fixed log-linear histogram of microsecond values. `record` is
+/// O(1) and never allocates; `merge` gives exactly the histogram of
+/// both sample sets.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Histogram {
+    counts: Box<[u64]>,
+}
+
+impl Default for Histogram {
+    fn default() -> Self {
+        Histogram {
+            counts: vec![0; BUCKETS].into_boxed_slice(),
+        }
+    }
+}
+
+impl Histogram {
+    /// Records one value, in microseconds.
+    pub fn record(&mut self, us: u64) {
+        self.counts[bucket_index(us)] += 1;
+    }
+
+    /// Adds every count of `other` into this histogram.
+    pub fn merge(&mut self, other: &Histogram) {
+        for (mine, theirs) in self.counts.iter_mut().zip(other.counts.iter()) {
+            *mine = mine.saturating_add(*theirs);
+        }
+    }
+
+    /// How many values were recorded.
+    pub fn count(&self) -> u64 {
+        self.counts.iter().fold(0, |sum, &n| sum.saturating_add(n))
+    }
+
+    /// The nearest-rank `p`-th percentile (0–100): the lower bound of
+    /// the bucket holding the ⌈p/100 · n⌉-th smallest value (rank 1 at
+    /// `p = 0`). Exact below 64 µs, at most 1/32 low above; 0 when
+    /// empty.
+    pub fn percentile(&self, p: f64) -> u64 {
+        let rank = ((p.clamp(0.0, 100.0) / 100.0 * self.count() as f64).ceil() as u64).max(1);
+        let mut seen = 0u64;
+        for (index, &n) in self.counts.iter().enumerate() {
+            seen = seen.saturating_add(n);
+            if seen >= rank {
+                return bucket_bounds(index).0;
+            }
+        }
+        0
+    }
+}
+
+/// One phase's latency as a `stats` snapshot reports it: lifetime
+/// count, sum and maximum, plus the histogram of recent samples the
+/// percentiles are read from.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct PhaseLatency {
+    /// Samples recorded over the lifetime.
+    pub count: u64,
+    /// Sum of every sample, in µs.
+    pub sum_us: u64,
+    /// Largest sample, in µs.
+    pub max_us: u64,
+    /// The recent samples.
+    pub window: Histogram,
+}
+
+impl PhaseLatency {
+    /// Renders the `latency.<phase>` stats object. `count`, `mean_us`
+    /// and `max_us` are lifetime values, the percentiles cover the
+    /// window, and `buckets` lists its non-empty buckets as sparse
+    /// `[[index, count], …]` pairs.
+    pub fn to_json(&self) -> Json {
+        let int = |v: u64| Json::Int(v.min(i64::MAX as u64) as i64);
+        let mean = self.sum_us.checked_div(self.count).unwrap_or(0);
+        let buckets = self
+            .window
+            .counts
+            .iter()
+            .enumerate()
+            .filter(|&(_, &n)| n > 0);
+        let buckets = buckets.map(|(index, &n)| Json::Arr(vec![int(index as u64), int(n)]));
+        Json::obj(vec![
+            ("count", int(self.count)),
+            ("mean_us", int(mean)),
+            ("p50_us", int(self.window.percentile(50.0))),
+            ("p90_us", int(self.window.percentile(90.0))),
+            ("p99_us", int(self.window.percentile(99.0))),
+            ("max_us", int(self.max_us)),
+            ("buckets", Json::Arr(buckets.collect())),
+        ])
+    }
+
+    /// Decodes [`PhaseLatency::to_json`] output from another process:
+    /// missing or negative fields read as zero, and bucket pairs that
+    /// are not two such integers naming a bucket are skipped. The
+    /// lifetime sum comes back as `mean_us · count`, short by less than
+    /// `count` µs.
+    pub fn from_json(json: &Json) -> PhaseLatency {
+        let int = |v: Option<&Json>| v.and_then(Json::as_i64).and_then(|v| u64::try_from(v).ok());
+        let field = |key: &str| int(json.get(key)).unwrap_or(0);
+        let mut window = Histogram::default();
+        for pair in json.get("buckets").and_then(Json::as_arr).unwrap_or(&[]) {
+            let at = |i: usize| int(pair.as_arr()?.get(i));
+            let slot = at(0).and_then(|i| window.counts.get_mut(usize::try_from(i).ok()?));
+            if let (Some(slot), Some(n)) = (slot, at(1)) {
+                *slot = slot.saturating_add(n);
+            }
+        }
+        PhaseLatency {
+            count: field("count"),
+            sum_us: field("mean_us").saturating_mul(field("count")),
+            max_us: field("max_us"),
+            window,
+        }
+    }
+
+    /// Folds `other` in: counts and sums add, maxima take the larger,
+    /// windows merge bucket by bucket.
+    pub fn merge(&mut self, other: &PhaseLatency) {
+        self.count = self.count.saturating_add(other.count);
+        self.sum_us = self.sum_us.saturating_add(other.sum_us);
+        self.max_us = self.max_us.max(other.max_us);
+        self.window.merge(&other.window);
+    }
+}
+
+/// The phases each analyze request records, in [`PhaseSample`] field
+/// order — the order the `latency` stats object lists them.
+pub const PHASES: [&str; 5] = ["queue_wait", "parse", "analyze", "render", "total"];
+
+/// The position of `total` in [`PHASES`].
+const TOTAL: usize = 4;
+
+/// One phase's recorder: lifetime aggregates plus two recency epochs.
+#[derive(Debug, Default)]
+struct PhaseRecorder {
+    /// Lifetime aggregates; its window is the current epoch.
+    latest: PhaseLatency,
+    /// The epoch before the current one.
+    previous: Histogram,
+}
+
+impl PhaseRecorder {
+    fn record(&mut self, sample: Duration) {
+        let us = sample.as_micros().min(i64::MAX as u128) as u64;
+        let latest = &mut self.latest;
+        latest.count += 1;
+        latest.sum_us = latest.sum_us.saturating_add(us);
+        latest.max_us = latest.max_us.max(us);
+        latest.window.record(us);
+        if latest.count.is_multiple_of(WINDOW) {
+            std::mem::swap(&mut latest.window, &mut self.previous);
+            latest.window.counts.fill(0);
+        }
+    }
+
+    /// The lifetime aggregates, with a window of both epochs.
+    fn snapshot(&self) -> PhaseLatency {
+        let mut snapshot = self.latest.clone();
+        snapshot.window.merge(&self.previous);
+        snapshot
+    }
 }
 
 /// One analyze request's phase durations, recorded atomically at
@@ -51,13 +236,15 @@ pub struct PhaseSample {
     pub total: Duration,
 }
 
-/// Shared server metrics. One instance per server, shared by reference.
-#[derive(Debug)]
+/// Shared server metrics, zeroed by `default()`. One instance per
+/// server, shared by reference.
+#[derive(Debug, Default)]
 pub struct Metrics {
     /// Total request frames decoded successfully.
     pub requests: AtomicU64,
-    /// Analyze requests accepted into the bounded queue. Once counted
-    /// here, a request is always analyzed and answered — drain included.
+    /// Analyze requests accepted into the bounded queue (preloads and
+    /// replica pushes are not counted). Once counted here, a request is
+    /// always analyzed and answered — drain included.
     pub analyze_accepted: AtomicU64,
     /// Analyze requests completed (responded, success or per-file errors).
     pub analyze_ok: AtomicU64,
@@ -82,60 +269,32 @@ pub struct Metrics {
     /// Summaries committed from replica write-through pushes (the
     /// receiving side of R-way replication).
     pub replica_received: AtomicU64,
-    phases: Mutex<Phases>,
-}
-
-impl Default for Metrics {
-    fn default() -> Self {
-        Metrics::new()
-    }
+    /// One recorder per [`PHASES`] entry.
+    phases: Mutex<[PhaseRecorder; PHASES.len()]>,
 }
 
 impl Metrics {
-    /// Creates zeroed metrics.
-    pub fn new() -> Metrics {
-        Metrics {
-            requests: AtomicU64::new(0),
-            analyze_accepted: AtomicU64::new(0),
-            analyze_ok: AtomicU64::new(0),
-            rejected_busy: AtomicU64::new(0),
-            timeouts: AtomicU64::new(0),
-            late_results: AtomicU64::new(0),
-            bad_requests: AtomicU64::new(0),
-            functions: AtomicU64::new(0),
-            connections: AtomicU64::new(0),
-            worker_panics: AtomicU64::new(0),
-            workers_respawned: AtomicU64::new(0),
-            replica_received: AtomicU64::new(0),
-            phases: Mutex::new(Phases {
-                queue_wait: LatencyWindow::new(WINDOW),
-                parse: LatencyWindow::new(WINDOW),
-                analyze: LatencyWindow::new(WINDOW),
-                render: LatencyWindow::new(WINDOW),
-                total: LatencyWindow::new(WINDOW),
-            }),
+    /// Records one completed analyze request's phase times.
+    pub fn record_phases(&self, sample: PhaseSample) {
+        let durations = [
+            sample.queue_wait,
+            sample.parse,
+            sample.analyze,
+            sample.render,
+            sample.total,
+        ];
+        let mut phases = self.phases.lock().expect("metrics poisoned");
+        for (phase, duration) in phases.iter_mut().zip(durations) {
+            phase.record(duration);
         }
     }
 
-    /// Records one completed analyze request's phase times.
-    pub fn record_phases(&self, sample: PhaseSample) {
-        let mut phases = self.phases.lock().expect("metrics poisoned");
-        phases.queue_wait.record(sample.queue_wait);
-        phases.parse.record(sample.parse);
-        phases.analyze.record(sample.analyze);
-        phases.render.record(sample.render);
-        phases.total.record(sample.total);
-    }
-
-    /// The current p50 of end-to-end latency — the backpressure
+    /// The recent end-to-end latencies — the backpressure
     /// `retry_after_ms` estimator's input.
-    pub fn total_p50(&self) -> Duration {
-        self.phases
-            .lock()
-            .expect("metrics poisoned")
-            .total
+    pub fn total_window(&self) -> Histogram {
+        self.phases.lock().expect("metrics poisoned")[TOTAL]
             .snapshot()
-            .p50
+            .window
     }
 
     /// Renders every counter and per-phase histogram summary, plus the
@@ -197,13 +356,13 @@ impl Metrics {
             ("workers", Json::Int(workers as i64)),
             (
                 "latency",
-                Json::obj(vec![
-                    ("queue_wait", latency_json(phases.queue_wait.snapshot())),
-                    ("parse", latency_json(phases.parse.snapshot())),
-                    ("analyze", latency_json(phases.analyze.snapshot())),
-                    ("render", latency_json(phases.render.snapshot())),
-                    ("total", latency_json(phases.total.snapshot())),
-                ]),
+                Json::obj(
+                    PHASES
+                        .into_iter()
+                        .zip(phases.iter())
+                        .map(|(name, phase)| (name, phase.snapshot().to_json()))
+                        .collect(),
+                ),
             ),
         ];
         if let Some(s) = tiers.store {
@@ -290,25 +449,13 @@ pub fn store_json(s: &StoreGauges) -> Json {
     ])
 }
 
-fn latency_json(s: LatencySnapshot) -> Json {
-    let us = |d: Duration| Json::Int(d.as_micros() as i64);
-    Json::obj(vec![
-        ("count", Json::Int(s.count as i64)),
-        ("mean_us", us(s.mean)),
-        ("p50_us", us(s.p50)),
-        ("p90_us", us(s.p90)),
-        ("p99_us", us(s.p99)),
-        ("max_us", us(s.max)),
-    ])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn snapshot_renders_counters_and_phases() {
-        let m = Metrics::new();
+        let m = Metrics::default();
         m.requests.fetch_add(3, Ordering::Relaxed);
         m.functions.fetch_add(12, Ordering::Relaxed);
         for ms in [2u64, 4, 6] {
@@ -355,8 +502,15 @@ mod tests {
         );
         let analyze = json.get("latency").unwrap().get("analyze").unwrap();
         assert_eq!(analyze.get("count").unwrap().as_i64(), Some(3));
-        assert_eq!(analyze.get("p50_us").unwrap().as_i64(), Some(40_000));
+        let p50 = analyze.get("p50_us").unwrap().as_i64().unwrap() as u64;
+        let (low, high) = bucket_bounds(bucket_index(40_000));
+        assert!(
+            (low..=high).contains(&p50),
+            "p50 {p50} outside [{low}, {high}]"
+        );
         assert_eq!(analyze.get("max_us").unwrap().as_i64(), Some(60_000));
+        assert_eq!(analyze.get("mean_us").unwrap().as_i64(), Some(40_000));
+        assert_eq!(analyze.get("buckets").unwrap().as_arr().unwrap().len(), 3);
         // The snapshot is valid JSON end to end.
         assert_eq!(Json::parse(&json.to_text()).unwrap(), json);
         // Memory-only deployments omit the store object entirely.
@@ -365,7 +519,7 @@ mod tests {
 
     #[test]
     fn store_gauges_render_when_a_durable_tier_exists() {
-        let m = Metrics::new();
+        let m = Metrics::default();
         let gauges = StoreGauges {
             disk_hits: 11,
             disk_misses: 3,
@@ -413,8 +567,8 @@ mod tests {
 
     #[test]
     fn total_p50_feeds_backpressure() {
-        let m = Metrics::new();
-        assert_eq!(m.total_p50(), Duration::ZERO);
+        let m = Metrics::default();
+        assert_eq!(m.total_window().count(), 0);
         for ms in 1..=9 {
             m.record_phases(PhaseSample {
                 queue_wait: Duration::ZERO,
@@ -424,6 +578,100 @@ mod tests {
                 total: Duration::from_millis(ms),
             });
         }
-        assert_eq!(m.total_p50().as_millis(), 5);
+        let total = m.total_window();
+        assert_eq!(total.count(), 9);
+        let p50 = total.percentile(50.0);
+        let (low, high) = bucket_bounds(bucket_index(5_000));
+        assert!(
+            (low..=high).contains(&p50),
+            "p50 {p50} outside [{low}, {high}]"
+        );
+    }
+
+    #[test]
+    fn buckets_are_contiguous_exact_below_64_and_within_a_32nd() {
+        for us in 0..EXACT {
+            assert_eq!(bucket_bounds(bucket_index(us)), (us, us));
+        }
+        // Every bucket starts right after the previous one ends, so the
+        // index is monotonic in the value and covers every u64.
+        let mut next = 0u64;
+        for index in 0..BUCKETS {
+            let (low, high) = bucket_bounds(index);
+            assert_eq!(low, next, "gap before bucket {index}");
+            assert_eq!(bucket_index(low), index);
+            assert_eq!(bucket_index(high), index);
+            next = high.wrapping_add(1);
+        }
+        assert_eq!(next, 0, "the last bucket ends at u64::MAX");
+        // A sweep up to ten hours: each value's bucket is at most 1/32
+        // of its lower bound wide.
+        let mut us = EXACT;
+        while us < 36_000_000_000 {
+            let (low, high) = bucket_bounds(bucket_index(us));
+            assert!(low <= us && us <= high);
+            assert!(
+                (high - low + 1) * SUB_BUCKETS <= low,
+                "{us}: [{low}, {high}]"
+            );
+            us += us / 97 + 1;
+        }
+    }
+
+    #[test]
+    fn percentiles_are_nearest_rank() {
+        let mut h = Histogram::default();
+        assert_eq!(h.percentile(50.0), 0, "empty reads zero");
+        for us in (1..=60).rev() {
+            h.record(us);
+        }
+        assert_eq!(h.percentile(0.0), 1);
+        assert_eq!(h.percentile(50.0), 30);
+        assert_eq!(h.percentile(90.0), 54);
+        assert_eq!(h.percentile(99.0), 60);
+        assert_eq!(h.percentile(100.0), 60);
+    }
+
+    #[test]
+    fn an_old_spike_leaves_the_window_after_two_epochs_but_not_the_max() {
+        let floor = |us| bucket_bounds(bucket_index(us)).0;
+        let mut phase = PhaseRecorder::default();
+        phase.record(Duration::from_secs(10));
+        for _ in 1..WINDOW {
+            phase.record(Duration::from_millis(1));
+        }
+        // The spike's epoch is now the previous one: still in the window.
+        assert_eq!(phase.snapshot().window.percentile(100.0), floor(10_000_000));
+        for _ in 0..WINDOW {
+            phase.record(Duration::from_millis(1));
+        }
+        let s = phase.snapshot();
+        assert_eq!(s.count, 2 * WINDOW);
+        assert_eq!(s.window.count(), WINDOW, "two full epochs rotated");
+        assert_eq!(s.window.percentile(100.0), floor(1_000), "the spike left");
+        assert_eq!(s.max_us, 10_000_000, "lifetime max survives");
+        phase.record(Duration::from_millis(1));
+        assert_eq!(phase.snapshot().window.count(), WINDOW + 1);
+    }
+
+    #[test]
+    fn buckets_round_trip_through_json() {
+        let mut latency = PhaseLatency::default();
+        for us in [3, 3, 64, 150, 40_000, 9_000_000_000] {
+            latency.count += 1;
+            latency.sum_us += us;
+            latency.max_us = latency.max_us.max(us);
+            latency.window.record(us);
+        }
+        let text = latency.to_json().to_text();
+        let back = PhaseLatency::from_json(&Json::parse(&text).unwrap());
+        assert_eq!(back.window, latency.window);
+        assert_eq!((back.count, back.max_us), (latency.count, latency.max_us));
+        assert_eq!(back.to_json(), latency.to_json());
+        // Pairs from a confused peer are skipped, not trusted.
+        let garbage = r#"{"buckets": [[0, 2], [-1, 5], [99999, 1], [1, -3], [2], "x", [3, 1]]}"#;
+        let h = PhaseLatency::from_json(&Json::parse(garbage).unwrap()).window;
+        assert_eq!(h.count(), 3);
+        assert_eq!((h.percentile(0.0), h.percentile(100.0)), (0, 3));
     }
 }

@@ -226,7 +226,7 @@ impl<'a> Shared<'a> {
             queue: JobQueue::new(config.queue_cap),
             cache: Mutex::new(backend),
             files: Mutex::new(FileIndex::new(config.cache_cap)),
-            metrics: Metrics::new(),
+            metrics: Metrics::default(),
             started: Instant::now(),
             shutdown,
         })
@@ -735,14 +735,16 @@ pub(crate) fn route_request(shared: &Shared<'_>, request: Request) -> Routed {
 /// `Err` carries the response to send instead (busy backpressure or the
 /// draining rejection).
 pub(crate) fn submit_job(shared: &Shared<'_>, kind: JobKind, reply: Reply) -> Result<(), Response> {
-    let analyze = !matches!(kind, JobKind::Preload { .. });
+    // Only analyze jobs are answered by `process_analyze`, which counts
+    // `analyze_ok`; preloads and replica pushes stay out of the books.
+    let analyze = matches!(kind, JobKind::Analyze { .. } | JobKind::AnalyzeFleet { .. });
     // Injected queue-full storm: reject exactly as a real full queue
     // would, *before* the request counts as accepted, so the
     // no-dropped-accepted-work invariant is untouched.
     if crate::faults::fire("queue.storm") {
         shared.metrics.rejected_busy.fetch_add(1, Ordering::Relaxed);
         return Err(Response::Busy {
-            retry_after_ms: retry_hint_ms(shared),
+            retry_after_ms: retry_hint(shared),
         });
     }
     let job = Job {
@@ -763,7 +765,7 @@ pub(crate) fn submit_job(shared: &Shared<'_>, kind: JobKind, reply: Reply) -> Re
         Err(PushError::Full(_)) => {
             shared.metrics.rejected_busy.fetch_add(1, Ordering::Relaxed);
             Err(Response::Busy {
-                retry_after_ms: retry_hint_ms(shared),
+                retry_after_ms: retry_hint(shared),
             })
         }
         Err(PushError::Closed(_)) => Err(draining_response()),
@@ -790,13 +792,24 @@ pub(crate) fn timeout_response(shared: &Shared<'_>) -> Response {
     }
 }
 
-/// The backpressure hint: roughly how long until a queue slot frees up,
-/// from the live p50 end-to-end latency and the current depth.
-fn retry_hint_ms(shared: &Shared<'_>) -> u64 {
-    let p50 = shared.metrics.total_p50().as_millis() as u64;
-    let per_request = if p50 == 0 { 50 } else { p50 };
-    let depth = shared.queue.depth() as u64;
-    (per_request * (depth + 1) / shared.workers.max(1) as u64).clamp(10, 5_000)
+/// The live backpressure hint for this server.
+fn retry_hint(shared: &Shared<'_>) -> u64 {
+    let total = shared.metrics.total_window();
+    retry_hint_ms(
+        total.percentile(50.0),
+        total.count(),
+        shared.queue.depth(),
+        shared.workers,
+    )
+}
+
+/// The backpressure hint: roughly how long, in ms, until a queue slot
+/// frees up, from the recent p50 end-to-end latency (`samples` of them;
+/// none yet assumes 50 ms a request) and the current queue depth.
+fn retry_hint_ms(p50_us: u64, samples: u64, depth: usize, workers: usize) -> u64 {
+    let per_request_us = if samples == 0 { 50_000 } else { p50_us };
+    let waiting = depth as u64 + 1;
+    (per_request_us.saturating_mul(waiting) / workers.max(1) as u64 / 1_000).clamp(10, 5_000)
 }
 
 /// Builds the live `stats` payload.
@@ -1083,6 +1096,50 @@ mod tests {
         client.request(&Request::Shutdown).unwrap();
         let summary = handle.join().unwrap();
         assert_eq!(summary.rejected_busy, 1);
+    }
+
+    #[test]
+    fn retry_hint_scales_sub_millisecond_p50s_and_clamps() {
+        // No samples yet: assume 50 ms a request.
+        assert_eq!(retry_hint_ms(0, 0, 0, 1), 50);
+        assert_eq!(retry_hint_ms(0, 0, 3, 2), 100);
+        // A 150 µs p50 is data, not "no samples": 64 queued on 2
+        // workers is ~4.8 ms, clamped up to the 10 ms floor.
+        assert_eq!(retry_hint_ms(150, 1_000, 63, 2), 10);
+        assert_eq!(retry_hint_ms(0, 5, 63, 2), 10);
+        assert_eq!(retry_hint_ms(1_500, 1_000, 63, 2), 48);
+        assert_eq!(retry_hint_ms(u64::MAX, 1, 100, 1), 5_000);
+        assert_eq!(
+            retry_hint_ms(5_000, 9, 9, 0),
+            50,
+            "zero workers read as one"
+        );
+    }
+
+    #[test]
+    fn replica_pushes_stay_out_of_the_analyze_books() {
+        let mut config = ServerConfig::new(Endpoint::Tcp(String::new()));
+        config.workers = 1;
+        let (endpoint, handle) = spawn_server(config);
+        let mut client = Client::connect(&Endpoint::parse(&endpoint)).unwrap();
+        let response = client
+            .request(&Request::Replicate { entries: vec![] })
+            .unwrap();
+        assert_eq!(response, Response::ReplicateAck { stored: 0 });
+        client.analyze(files(1), None).unwrap();
+        let Response::Stats(stats) = client.request(&Request::Stats).unwrap() else {
+            panic!("expected stats");
+        };
+        let requests = stats.get("requests").unwrap();
+        let count = |key: &str| requests.get(key).unwrap().as_i64().unwrap();
+        assert_eq!(count("analyze_ok"), 1);
+        assert_eq!(
+            count("analyze_accepted"),
+            count("analyze_ok") + count("worker_panics"),
+            "accepted == answered: {requests:?}"
+        );
+        client.request(&Request::Shutdown).unwrap();
+        handle.join().unwrap();
     }
 
     #[test]
