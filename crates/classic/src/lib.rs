@@ -7,7 +7,8 @@
 //!
 //! This crate exists as the head-to-head baseline for the benchmark
 //! suite: it is a faithful rendition of the Allen–Cocke–Kennedy-style
-//! approach over reaching definitions on the (non-SSA) CFG, and it
+//! approach on the (non-SSA) CFG, scanning each loop's definitions
+//! directly, and it
 //! deliberately has the classical blind spots — no polynomial or
 //! geometric variables, no periodic families beyond the two-variable
 //! flip-flop pattern, no monotonic variables, no multi-loop closed forms.

@@ -656,6 +656,38 @@ pub fn render_grouped_with(
     stats: &BatchStats,
     show_invariants: bool,
 ) -> String {
+    render_blocks(ranges, functions, stats, show_invariants, |_| {})
+}
+
+/// [`render_grouped_with`], also returning the UTF-8 byte length of
+/// each range's block (its `══ path ══` header plus its function
+/// blocks), in range order. The blocks tile the output from its start;
+/// the stats line follows the last one. The server sends these spans so
+/// the fleet router can cut one reply into per-file blocks.
+pub fn render_grouped_spans(
+    ranges: &[(String, usize)],
+    functions: &[FunctionSummary],
+    stats: &BatchStats,
+    show_invariants: bool,
+) -> (String, Vec<usize>) {
+    let mut spans = Vec::with_capacity(ranges.len());
+    let mut start = 0usize;
+    let out = render_blocks(ranges, functions, stats, show_invariants, |end| {
+        spans.push(end - start);
+        start = end;
+    });
+    (out, spans)
+}
+
+/// The renderer behind both entry points: `block_end` hears the output
+/// length as each range's block is finished.
+fn render_blocks(
+    ranges: &[(String, usize)],
+    functions: &[FunctionSummary],
+    stats: &BatchStats,
+    show_invariants: bool,
+    mut block_end: impl FnMut(usize),
+) -> String {
     let mut out = String::new();
     let mut next = 0usize;
     for (path, count) in ranges {
@@ -664,6 +696,7 @@ pub fn render_grouped_with(
             out.push_str(&summary.render_with(show_invariants));
         }
         next += count;
+        block_end(out.len());
     }
     debug_assert_eq!(next, functions.len(), "ranges cover every function");
     out.push_str(&stats.render());

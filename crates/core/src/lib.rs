@@ -65,8 +65,9 @@ pub mod validate;
 
 pub use batch::{
     analyze_batch_with_backend, analyze_sources_with_backend, cold_batch_stats,
-    render_grouped_with, resolve_jobs, structural_hash, BatchOptions, BatchReport, BatchStats,
-    FunctionSummary, LoopSummary, SourcesReport, StructuralCache, StructuralSummary,
+    render_grouped_spans, render_grouped_with, resolve_jobs, structural_hash, BatchOptions,
+    BatchReport, BatchStats, FunctionSummary, LoopSummary, SourcesReport, StructuralCache,
+    StructuralSummary,
 };
 pub use budget::{Budget, BudgetBreach, BudgetMeter};
 pub use cache::{

@@ -3,12 +3,19 @@
 //! `bivc` run.
 //!
 //! ```text
-//!              ┌──────── shard 0 ──────── per-file blocks ┐
-//!  files ──┬──▶│                                          ├──▶ input-order
-//!          │   ├──────── shard 1 ──────── per-file blocks ┤    blocks +
-//!          │   │                                          │    cold stats
-//!          └──▶└──────── shard 2 ──────── per-file blocks ┘    line
+//!              ┌──────── shard 0 ──────── analyze reply ┐
+//!  files ──┬──▶│                                        ├──▶ input-order
+//!          │   ├──────── shard 1 ──────── analyze reply ┤    blocks +
+//!          │   │                                        │    cold stats
+//!          └──▶└──────── shard 2 ──────── analyze reply ┘    line
 //! ```
+//!
+//! **One op.** Each group is a plain `analyze` request. The reply's
+//! `files` give each file's block span in `output` and its structural
+//! hashes; the router cuts the blocks out with checked slicing and
+//! ignores the shard's own stats line, replaying one cold over the
+//! whole batch instead. A reply whose spans do not fit its `output` or
+//! its `errors` refuses its group — it never panics the router.
 //!
 //! **Bootstrap.** [`Router::new`] asks the configured endpoints, in
 //! order, for their membership views (`members` frame) and merges them:
@@ -37,18 +44,18 @@
 //! another shard dead, so a batch settles within N + 1 rounds.
 //!
 //! Per-shard busy rejections are absorbed with the exact client
-//! backoff policy ([`biv_server::client::busy_backoff`]); a group that
-//! exhausts its backoff budget is counted in
-//! [`FleetReport::backoff_exhausted`] (and the process-wide ledger,
-//! [`biv_server::client::backoff_exhausted`]).
+//! backoff policy: every group goes out through
+//! [`Client::analyze_with`], the one busy-backoff loop (10 retries,
+//! 30 s of cumulative sleep). A group that exhausts it is refused and
+//! counted in [`FleetReport::backoff_exhausted`] (and the process-wide
+//! ledger, [`biv_server::client::backoff_exhausted`]).
 
 use std::collections::BTreeMap;
 use std::time::Duration;
 
 use biv_core::cold_batch_stats;
-use biv_server::client::{busy_backoff, note_backoff_exhausted};
 use biv_server::net::Endpoint;
-use biv_server::{AnalyzeFile, Client, FileError, FleetFile, Request, Response};
+use biv_server::{AnalyzeFile, Client, FileBlock, FileError, Request, Response};
 
 use crate::faults;
 use crate::membership::{MemberState, View};
@@ -72,9 +79,6 @@ pub struct FleetConfig {
     /// Cold-replay cache capacity for the stats line, exactly as
     /// `bivc --cache-cap` passes it. `None` means the default.
     pub cache_cap: Option<usize>,
-    /// Busy rejections tolerated per group submission before the shard
-    /// is declared saturated for those files.
-    pub max_busy_retries: u32,
     /// Render verified per-loop invariants in each shard's per-file
     /// blocks, exactly as `bivc --invariants` does locally. Shards
     /// always *compute* invariants (they live in the cached summaries);
@@ -84,12 +88,13 @@ pub struct FleetConfig {
 }
 
 impl FleetConfig {
-    /// A config for `endpoints` with the default retry budget.
+    /// A config for `endpoints`: the default cold-replay capacity, no
+    /// invariant lines. Busy shards are retried by the client's own
+    /// backoff ([`Client::analyze_with`]), which has no knob here.
     pub fn new(endpoints: Vec<String>) -> FleetConfig {
         FleetConfig {
             endpoints,
             cache_cap: None,
-            max_busy_retries: 10,
             invariants: false,
         }
     }
@@ -111,8 +116,6 @@ pub struct FleetReport {
     /// Per-file failures: parse errors from shards, plus files the
     /// router could not place anywhere.
     pub errors: Vec<FileError>,
-    /// Busy rejections absorbed by backoff across all shards.
-    pub busy_retries: u64,
     /// Group submissions that ran out of busy-backoff budget.
     pub backoff_exhausted: u64,
     /// Shards found dead (unreachable or draining) during the batch.
@@ -123,11 +126,17 @@ pub struct FleetReport {
     pub notes: Vec<String>,
 }
 
+/// One file's share of a served group: its rendered `══ path ══`
+/// block and its functions' structural hashes, or (`Err`) the shard's
+/// message for a file that failed to parse.
+type FileResult = Result<(String, Vec<u64>), String>;
+
 /// What one per-shard group submission came back with.
+#[derive(Debug)]
 enum GroupOutcome {
     /// The shard served the group: per-file results in request order.
     Served {
-        files: Vec<FleetFile>,
+        files: Vec<FileResult>,
         functions: usize,
         analyzed: usize,
         cached: usize,
@@ -135,9 +144,10 @@ enum GroupOutcome {
     /// The shard is unreachable, died mid-exchange, or is draining:
     /// mark it dead and re-route its files.
     Dead(String),
-    /// The shard answered but unusably (busy exhaustion, protocol
-    /// violation, refusal): the group's files fail, the batch goes on.
-    Refused(String),
+    /// The shard answered but unusably (busy past the backoff budget —
+    /// `exhausted` — a protocol violation, a refusal): the group's
+    /// files fail, the batch goes on.
+    Refused { reason: String, exhausted: bool },
 }
 
 /// A connected fleet router.
@@ -225,14 +235,16 @@ impl Router {
     pub fn analyze(&mut self, files: Vec<AnalyzeFile>) -> Result<FleetReport, String> {
         let n = self.shard_count();
         let keys: Vec<u64> = files.iter().map(|f| content_key(&f.source)).collect();
-        // Input-order result slots: a served per-file result, or a
-        // routing-level error message.
-        let mut slots: Vec<Option<Result<FleetFile, String>>> = vec![None; files.len()];
+        // Input-order result slots: a served block, or the file's
+        // error message — a shard's parse error, or a routing failure
+        // prefixed with the path by `fail`.
+        let mut slots: Vec<Option<FileResult>> = vec![None; files.len()];
+        let fail = |i: usize, reason: &str| Some(Err(format!("{}: {reason}", files[i].path)));
         let mut alive: Vec<bool> = self.endpoints.iter().map(Option::is_some).collect();
         let mut dead_shards: Vec<u32> = Vec::new();
         let mut notes: Vec<String> = std::mem::take(&mut self.notes);
         let (mut functions, mut analyzed, mut cached) = (0usize, 0usize, 0usize);
-        let (mut busy_retries, mut backoff_exhausted) = (0u64, 0u64);
+        let mut backoff_exhausted = 0u64;
         let mut pending: Vec<usize> = (0..files.len()).collect();
 
         // Files re-route only off a shard found dead this round, and a
@@ -254,54 +266,49 @@ impl Router {
                 {
                     Some(shard) => groups.entry(shard).or_default().push(index),
                     None if alive.contains(&true) => {
-                        slots[index] = Some(Err(
-                            "no live replica: this file's primary and every replica are dead"
-                                .into(),
-                        ));
+                        slots[index] = fail(
+                            index,
+                            "no live replica: this file's primary and every replica are dead",
+                        );
                     }
                     None => {
-                        slots[index] = Some(Err(format!(
-                            "no live shard left in the fleet ({n} configured, all dead)"
-                        )));
+                        slots[index] = fail(
+                            index,
+                            &format!("no live shard left in the fleet ({n} configured, all dead)"),
+                        );
                     }
                 }
             }
 
             // Fan the groups out, one connection per shard group.
-            let round: Vec<(u32, Vec<usize>, GroupOutcome, u64, bool)> =
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = groups
-                        .into_iter()
-                        .map(|(shard, members)| {
-                            let endpoint = self.endpoints[shard as usize]
-                                .clone()
-                                .expect("only shards with endpoints start alive");
-                            let payload: Vec<AnalyzeFile> =
-                                members.iter().map(|&i| files[i].clone()).collect();
-                            let config = &self.config;
-                            let handle = scope
-                                .spawn(move || submit_group(&endpoint, shard, payload, config));
-                            (shard, members, handle)
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|(shard, members, handle)| {
-                            let (outcome, busy, exhausted) = handle.join().unwrap_or_else(|_| {
-                                (
-                                    GroupOutcome::Refused("router worker panicked".into()),
-                                    0,
-                                    false,
-                                )
-                            });
-                            (shard, members, outcome, busy, exhausted)
-                        })
-                        .collect()
-                });
+            let round: Vec<(u32, Vec<usize>, GroupOutcome)> = std::thread::scope(|scope| {
+                let handles: Vec<_> = groups
+                    .into_iter()
+                    .map(|(shard, members)| {
+                        let endpoint = self.endpoints[shard as usize]
+                            .clone()
+                            .expect("only shards with endpoints start alive");
+                        let payload: Vec<AnalyzeFile> =
+                            members.iter().map(|&i| files[i].clone()).collect();
+                        let config = &self.config;
+                        let handle =
+                            scope.spawn(move || submit_group(&endpoint, shard, payload, config));
+                        (shard, members, handle)
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|(shard, members, handle)| {
+                        let outcome = handle.join().unwrap_or_else(|_| GroupOutcome::Refused {
+                            reason: "router worker panicked".into(),
+                            exhausted: false,
+                        });
+                        (shard, members, outcome)
+                    })
+                    .collect()
+            });
 
-            for (shard, members, outcome, busy, exhausted) in round {
-                busy_retries += busy;
-                backoff_exhausted += u64::from(exhausted);
+            for (shard, members, outcome) in round {
                 match outcome {
                     GroupOutcome::Served {
                         files: results,
@@ -309,22 +316,11 @@ impl Router {
                         analyzed: a,
                         cached: c,
                     } => {
-                        if results.len() != members.len() {
-                            let reason = format!(
-                                "shard {shard} answered {} results for {} files",
-                                results.len(),
-                                members.len()
-                            );
-                            for &i in &members {
-                                slots[i] = Some(Err(reason.clone()));
-                            }
-                            continue;
-                        }
                         functions += f;
                         analyzed += a;
                         cached += c;
                         for (&i, result) in members.iter().zip(results) {
-                            slots[i] = Some(Ok(result));
+                            slots[i] = Some(result);
                         }
                     }
                     GroupOutcome::Dead(reason) => {
@@ -335,9 +331,10 @@ impl Router {
                         ));
                         pending.extend(members);
                     }
-                    GroupOutcome::Refused(reason) => {
+                    GroupOutcome::Refused { reason, exhausted } => {
+                        backoff_exhausted += u64::from(exhausted);
                         for &i in &members {
-                            slots[i] = Some(Err(reason.clone()));
+                            slots[i] = fail(i, &reason);
                         }
                     }
                 }
@@ -352,20 +349,13 @@ impl Router {
         let mut errors: Vec<FileError> = Vec::new();
         for (file, slot) in files.iter().zip(slots) {
             match slot {
-                Some(Ok(result)) => {
-                    if let Some(message) = result.error {
-                        errors.push(FileError {
-                            path: file.path.clone(),
-                            message,
-                        });
-                    } else {
-                        output.push_str(&result.output);
-                        hashes.extend(result.hashes);
-                    }
+                Some(Ok((block, block_hashes))) => {
+                    output.push_str(&block);
+                    hashes.extend(block_hashes);
                 }
                 Some(Err(message)) => errors.push(FileError {
                     path: file.path.clone(),
-                    message: format!("{}: {message}", file.path),
+                    message,
                 }),
                 None => errors.push(FileError {
                     path: file.path.clone(),
@@ -398,7 +388,6 @@ impl Router {
             analyzed,
             cached,
             errors,
-            busy_retries,
             backoff_exhausted,
             dead_shards,
             notes,
@@ -486,82 +475,109 @@ fn probe(seed: &str) -> Result<View, String> {
     Ok(view)
 }
 
-/// Sends one shard group and classifies the exchange, returning the
-/// outcome, how many busy rejections backoff absorbed, and whether the
-/// backoff budget ran out. Everything except busy handling maps onto a
-/// [`GroupOutcome`] for the round loop to act on.
+/// Sends one shard group through the client's busy backoff and
+/// classifies the exchange.
 fn submit_group(
     endpoint: &str,
     shard: u32,
     payload: Vec<AnalyzeFile>,
     config: &FleetConfig,
-) -> (GroupOutcome, u64, bool) {
+) -> GroupOutcome {
     if faults::fire("fleet.shard.unreachable") {
-        return (
-            GroupOutcome::Dead("fault injected: shard unreachable".into()),
-            0,
-            false,
-        );
+        return GroupOutcome::Dead("fault injected: shard unreachable".into());
     }
     let endpoint = Endpoint::parse(endpoint);
-    let mut client = match Client::connect(&endpoint) {
-        Ok(c) => c,
-        Err(e) => {
-            return (
-                GroupOutcome::Dead(format!("cannot connect to {endpoint}: {e}")),
-                0,
-                false,
-            )
-        }
+    let count = payload.len();
+    let reply = match Client::connect(&endpoint) {
+        Ok(mut client) => client
+            .analyze_with(payload, config.cache_cap, config.invariants)
+            .map_err(|e| format!("shard {shard} at {endpoint}: {e}")),
+        Err(e) => Err(format!("cannot connect to {endpoint}: {e}")),
     };
-    let request = Request::AnalyzeFleet {
-        files: payload,
-        cache_cap: config.cache_cap,
-        invariants: config.invariants,
+    group_outcome(shard, count, reply)
+}
+
+/// What a group of `count` files comes to, given the shard's reply
+/// after backoff (`Err`: the exchange itself failed).
+fn group_outcome(shard: u32, count: usize, reply: Result<Response, String>) -> GroupOutcome {
+    let refused = |reason: String| GroupOutcome::Refused {
+        reason,
+        exhausted: false,
     };
-    let max_busy_retries = config.max_busy_retries;
-    let mut attempt = 0u32;
-    loop {
-        let mut exhausted = false;
-        let outcome = match client.request(&request) {
-            Ok(Response::AnalyzeFleet {
-                files,
-                functions,
-                analyzed,
-                cached,
-            }) => GroupOutcome::Served {
+    match reply {
+        Ok(Response::Analyze {
+            output,
+            functions,
+            analyzed,
+            cached,
+            errors,
+            files,
+        }) => match split_reply(&output, files, errors, count) {
+            Ok(files) => GroupOutcome::Served {
                 files,
                 functions,
                 analyzed,
                 cached,
             },
-            Ok(Response::Busy { retry_after_ms }) => {
-                attempt += 1;
-                if attempt > max_busy_retries {
-                    note_backoff_exhausted();
-                    exhausted = true;
-                    GroupOutcome::Refused(format!(
-                        "shard {shard} saturated (busy after {max_busy_retries} retries; \
-                         last hint {retry_after_ms} ms)"
-                    ))
-                } else {
-                    std::thread::sleep(busy_backoff(retry_after_ms, attempt));
-                    continue;
-                }
-            }
-            Ok(Response::Error { kind, message }) if kind == "draining" => {
-                GroupOutcome::Dead(format!("shard {shard} is draining: {message}"))
-            }
-            Ok(Response::Error { kind, message }) => {
-                GroupOutcome::Refused(format!("shard {shard} refused ({kind}): {message}"))
-            }
-            Ok(other) => {
-                GroupOutcome::Refused(format!("shard {shard} answered out of protocol: {other:?}"))
-            }
-            Err(e) => GroupOutcome::Dead(format!("shard {shard} at {endpoint}: {e}")),
-        };
-        return (outcome, u64::from(attempt), exhausted);
+            Err(e) => refused(format!("shard {shard} sent an inconsistent reply: {e}")),
+        },
+        Ok(Response::Busy { retry_after_ms }) => GroupOutcome::Refused {
+            reason: format!(
+                "shard {shard} saturated (busy past the backoff budget; \
+                 last hint {retry_after_ms} ms)"
+            ),
+            exhausted: true,
+        },
+        Ok(Response::Error { kind, message }) if kind == "draining" => {
+            GroupOutcome::Dead(format!("shard {shard} is draining: {message}"))
+        }
+        Ok(Response::Error { kind, message }) => {
+            refused(format!("shard {shard} refused ({kind}): {message}"))
+        }
+        Ok(other) => refused(format!("shard {shard} answered out of protocol: {other:?}")),
+        Err(e) => GroupOutcome::Dead(e),
     }
+}
+
+/// Cuts an analyze reply for `count` request files into per-file
+/// results, in request order. Each parsed file's block is the next
+/// `bytes` of `output`; a file with `bytes: 0` failed to parse and takes
+/// the next `errors` entry. Whatever follows the last block — the
+/// shard's own stats line — is ignored.
+///
+/// # Errors
+/// When the reply does not describe `count` files consistently: a span
+/// that runs past `output` or ends inside a character, or failed files
+/// and `errors` entries that do not pair up.
+fn split_reply(
+    output: &str,
+    files: Vec<FileBlock>,
+    errors: Vec<FileError>,
+    count: usize,
+) -> Result<Vec<FileResult>, String> {
+    if files.len() != count {
+        return Err(format!("{} file blocks for {count} files", files.len()));
+    }
+    let mut errors = errors.into_iter();
+    let mut at = 0usize;
+    let mut results = Vec::with_capacity(count);
+    for FileBlock { bytes, hashes } in files {
+        if bytes == 0 {
+            let error = errors.next().ok_or("more failed files than errors")?;
+            results.push(Err(error.message));
+            continue;
+        }
+        let block = at
+            .checked_add(bytes)
+            .and_then(|end| output.get(at..end))
+            .ok_or_else(|| format!("a {bytes}-byte block at {at} does not fit the output"))?;
+        results.push(Ok((block.to_string(), hashes)));
+        at += bytes;
+    }
+    if errors.next().is_some() {
+        return Err("more errors than failed files".into());
+    }
+    Ok(results)
 }
 
 #[cfg(test)]
@@ -986,5 +1002,188 @@ mod tests {
             local_output(std::slice::from_ref(&survivor), 4096)
         );
         stop(shards);
+    }
+
+    fn block(bytes: usize) -> FileBlock {
+        FileBlock {
+            bytes,
+            hashes: Vec::new(),
+        }
+    }
+
+    fn parse_error(path: &str) -> FileError {
+        FileError {
+            path: path.into(),
+            message: format!("{path}: parse error: expected `(`"),
+        }
+    }
+
+    #[test]
+    fn split_reply_cuts_blocks_and_pairs_failed_files_with_errors() {
+        let (a, c) = ("══ a.biv ══\nfunc f [01]\n", "══ c.biv ══\n");
+        let output = format!("{a}{c}batch: 1 functions, 1 analyzed, 0 cache hits, 0 evictions\n");
+        let files = vec![
+            FileBlock {
+                bytes: a.len(),
+                hashes: vec![1],
+            },
+            block(0),
+            block(c.len()),
+        ];
+        let got = split_reply(&output, files, vec![parse_error("b.biv")], 3).unwrap();
+        assert_eq!(
+            got,
+            vec![
+                Ok((a.to_string(), vec![1])),
+                Err("b.biv: parse error: expected `(`".to_string()),
+                Ok((c.to_string(), Vec::new())),
+            ]
+        );
+    }
+
+    #[test]
+    fn split_reply_refuses_inconsistent_replies_without_panicking() {
+        // `═` is three bytes in UTF-8.
+        let output = "══ a.biv ══\nbatch: 0 functions\n";
+        let len = output.len();
+        let cases: [(&str, Vec<FileBlock>, Vec<FileError>, usize); 7] = [
+            ("past the end", vec![block(len + 1)], vec![], 1),
+            ("overflowing", vec![block(3), block(usize::MAX)], vec![], 2),
+            ("inside the first `═`", vec![block(1)], vec![], 1),
+            ("inside the second `═`", vec![block(5)], vec![], 1),
+            (
+                "more failed files than errors",
+                vec![block(0), block(0)],
+                vec![parse_error("x.biv")],
+                2,
+            ),
+            (
+                "more errors than failed files",
+                vec![block(len)],
+                vec![parse_error("x.biv")],
+                1,
+            ),
+            ("too few blocks", vec![], vec![], 1),
+        ];
+        for (what, files, errors, count) in cases {
+            assert!(split_reply(output, files, errors, count).is_err(), "{what}");
+        }
+    }
+
+    #[test]
+    fn replies_map_to_group_outcomes() {
+        let outcome = |reply| group_outcome(2, 1, reply);
+        let busy = outcome(Ok(Response::Busy { retry_after_ms: 40 }));
+        assert!(
+            matches!(&busy, GroupOutcome::Refused { reason, exhausted: true }
+                if reason.contains("saturated")),
+            "{busy:?}"
+        );
+        let draining = outcome(Ok(Response::Error {
+            kind: "draining".into(),
+            message: "shutting down".into(),
+        }));
+        assert!(matches!(draining, GroupOutcome::Dead(_)), "{draining:?}");
+        assert!(matches!(
+            outcome(Err("connection reset".into())),
+            GroupOutcome::Dead(_)
+        ));
+        for reply in [
+            Response::Error {
+                kind: "timeout".into(),
+                message: "request exceeded 30s".into(),
+            },
+            Response::Error {
+                kind: "bad-request".into(),
+                message: "unknown op `analyze_v0`".into(),
+            },
+            Response::Pong,
+            // An analyze reply with no file blocks (a shard from
+            // before them) cannot be split.
+            Response::Analyze {
+                output: "══ x.biv ══\nbatch: 0 functions\n".into(),
+                functions: 0,
+                analyzed: 0,
+                cached: 0,
+                errors: Vec::new(),
+                files: Vec::new(),
+            },
+        ] {
+            let got = outcome(Ok(reply));
+            assert!(
+                matches!(
+                    got,
+                    GroupOutcome::Refused {
+                        exhausted: false,
+                        ..
+                    }
+                ),
+                "{got:?}"
+            );
+        }
+        let served = outcome(Ok(Response::Analyze {
+            output: "══ x.biv ══\nbatch: 0 functions\n".into(),
+            functions: 0,
+            analyzed: 0,
+            cached: 0,
+            errors: Vec::new(),
+            files: vec![block("══ x.biv ══\n".len())],
+        }));
+        assert!(
+            matches!(&served, GroupOutcome::Served { files, .. } if files.len() == 1),
+            "{served:?}"
+        );
+    }
+
+    #[test]
+    fn a_busy_shard_refuses_its_group_after_backoff_and_counts_once() {
+        // A shard that answers every analyze `busy` with a zero hint:
+        // the client's backoff gives up after its ten retries (a few ms
+        // of floored sleeps), and the batch reports one exhaustion.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let endpoint = format!("tcp:{}", listener.local_addr().unwrap());
+        let shard = std::thread::spawn(move || {
+            use biv_server::frame::{read_frame, write_frame, MAX_FRAME_BYTES};
+            let (mut stream, _) = listener.accept().unwrap();
+            let busy = Response::Busy { retry_after_ms: 0 }.encode();
+            while let Ok(Some(_)) = read_frame(&mut stream, MAX_FRAME_BYTES) {
+                write_frame(&mut stream, &busy).unwrap();
+            }
+        });
+        let view = View {
+            version: 1,
+            shard_count: 1,
+            replication: 1,
+            members: vec![Member {
+                shard_id: 0,
+                endpoint,
+                incarnation: 0,
+                state: MemberState::Alive,
+            }],
+        };
+        let mut router = Router::from_view(FleetConfig::new(Vec::new()), &view, Vec::new());
+        let before = biv_server::client::backoff_exhausted();
+        let report = router
+            .analyze(vec![AnalyzeFile {
+                path: "x.biv".into(),
+                source: SRC_A.to_string(),
+            }])
+            .unwrap();
+        assert_eq!(report.backoff_exhausted, 1);
+        assert!(biv_server::client::backoff_exhausted() > before);
+        assert!(report.dead_shards.is_empty(), "busy is not dead");
+        assert_eq!(report.errors.len(), 1);
+        assert!(
+            report.errors[0]
+                .message
+                .starts_with("x.biv: shard 0 saturated"),
+            "{:?}",
+            report.errors
+        );
+        assert_eq!(
+            report.output,
+            "batch: 0 functions, 0 analyzed, 0 cache hits, 0 evictions\n"
+        );
+        shard.join().unwrap();
     }
 }

@@ -1,13 +1,11 @@
-//! An iterative bit-vector dataflow framework with the two classical
-//! problems the rest of the system needs: **reaching definitions** (used by
-//! the classical induction-variable baseline) and **live variables** (used
-//! for pruned SSA construction).
+//! An iterative bit-vector dataflow framework with the one classical
+//! problem the rest of the system needs: **live variables**, used for
+//! pruned SSA construction.
 //!
 //! All per-block state is stored in dense block-indexed vectors — no
 //! hashing on the fixpoint path.
 
-use crate::cfg::Cfg;
-use crate::entity::{EntityId, EntityMap};
+use crate::entity::EntityId;
 use crate::function::{Block, Function, Var};
 
 /// A fixed-width bitset.
@@ -42,16 +40,6 @@ impl BitSet {
         let had = self.words[w] & (1 << b) != 0;
         self.words[w] |= 1 << b;
         !had
-    }
-
-    /// Removes `idx`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `idx` is out of range.
-    pub fn remove(&mut self, idx: usize) {
-        assert!(idx < self.len, "bit index out of range");
-        self.words[idx / 64] &= !(1 << (idx % 64));
     }
 
     /// Membership test.
@@ -94,131 +82,6 @@ impl BitSet {
     /// Number of members.
     pub fn count(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-}
-
-/// A definition site: block plus instruction index within the block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct DefSite {
-    /// Containing block.
-    pub block: Block,
-    /// Index of the defining instruction in the block.
-    pub inst: usize,
-    /// The variable defined.
-    pub var: Var,
-}
-
-/// Reaching-definitions analysis results.
-#[derive(Debug)]
-pub struct ReachingDefs {
-    /// All definition sites, indexed by their bit position.
-    pub defs: Vec<DefSite>,
-    /// Reaching set at block entry, indexed by block. Unreachable blocks
-    /// keep empty sets.
-    pub live_in: Vec<BitSet>,
-    /// Reaching set at block exit, indexed by block.
-    pub live_out: Vec<BitSet>,
-    /// Definition bits per variable.
-    pub defs_of_var: EntityMap<Var, Vec<usize>>,
-}
-
-impl ReachingDefs {
-    /// Runs the classical forward may-analysis.
-    pub fn compute(func: &Function) -> ReachingDefs {
-        // Enumerate definition sites.
-        let mut defs = Vec::new();
-        let mut defs_of_var: EntityMap<Var, Vec<usize>> = EntityMap::new();
-        for (b, data) in func.blocks.iter() {
-            for (i, inst) in data.insts.iter().enumerate() {
-                if let Some(var) = inst.def() {
-                    let bit = defs.len();
-                    defs.push(DefSite {
-                        block: b,
-                        inst: i,
-                        var,
-                    });
-                    defs_of_var.get_or_insert_with(var, Vec::new).push(bit);
-                }
-            }
-        }
-        let n = defs.len();
-        let nblocks = func.blocks.len();
-        // GEN/KILL per block.
-        let mut gen: Vec<BitSet> = Vec::with_capacity(nblocks);
-        let mut kill: Vec<BitSet> = Vec::with_capacity(nblocks);
-        for (b, data) in func.blocks.iter() {
-            let mut g = BitSet::new(n);
-            let mut k = BitSet::new(n);
-            // Walk forward; later defs of the same var kill earlier ones.
-            for (i, inst) in data.insts.iter().enumerate() {
-                if let Some(var) = inst.def() {
-                    for &bit in &defs_of_var[var] {
-                        if defs[bit].block != b || defs[bit].inst != i {
-                            k.insert(bit);
-                        }
-                        if defs[bit].block == b && defs[bit].inst == i {
-                            g.insert(bit);
-                        }
-                    }
-                    // A later def in the same block kills this one from GEN.
-                    for &bit in &defs_of_var[var] {
-                        if defs[bit].block == b && defs[bit].inst < i {
-                            g.remove(bit);
-                        }
-                    }
-                }
-            }
-            gen.push(g);
-            kill.push(k);
-        }
-        // Iterate to fixpoint in RPO.
-        let rpo = func.reverse_postorder();
-        let cfg = Cfg::compute(func);
-        let mut rin: Vec<BitSet> = (0..nblocks).map(|_| BitSet::new(n)).collect();
-        let mut rout: Vec<BitSet> = (0..nblocks).map(|_| BitSet::new(n)).collect();
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for &b in &rpo {
-                let bi = b.index();
-                let mut input = BitSet::new(n);
-                for p in cfg.preds(b) {
-                    input.union_with(&rout[p.index()]);
-                }
-                let mut out = input.clone();
-                out.subtract(&kill[bi]);
-                out.union_with(&gen[bi]);
-                if rin[bi] != input {
-                    rin[bi] = input;
-                }
-                if rout[bi] != out {
-                    rout[bi] = out;
-                    changed = true;
-                }
-            }
-        }
-        ReachingDefs {
-            defs,
-            live_in: rin,
-            live_out: rout,
-            defs_of_var,
-        }
-    }
-
-    /// The definitions of `var` that reach the entry of `block`.
-    pub fn reaching_defs_of(&self, block: Block, var: Var) -> Vec<DefSite> {
-        let Some(set) = self.live_in.get(block.index()) else {
-            return Vec::new();
-        };
-        self.defs_of_var
-            .get(var)
-            .map(|bits| {
-                bits.iter()
-                    .filter(|&&b| set.contains(b))
-                    .map(|&b| self.defs[b])
-                    .collect()
-            })
-            .unwrap_or_default()
     }
 }
 
@@ -319,8 +182,7 @@ mod tests {
         assert!(s.contains(129));
         assert!(!s.contains(64));
         assert_eq!(s.count(), 2);
-        s.remove(0);
-        assert_eq!(s.iter().collect::<Vec<_>>(), vec![129]);
+        assert_eq!(s.iter().collect::<Vec<_>>(), vec![0, 129]);
     }
 
     #[test]
@@ -334,20 +196,6 @@ mod tests {
         a.subtract(&b);
         assert!(a.contains(1));
         assert!(!a.contains(2));
-    }
-
-    #[test]
-    fn reaching_defs_in_loop() {
-        // i has a def before the loop and one inside; both reach the
-        // header.
-        let program =
-            parse_program("func f(n) { i = 0 L1: loop { i = i + 1 if i > n { break } } }").unwrap();
-        let f = &program.functions[0];
-        let rd = ReachingDefs::compute(f);
-        let header = f.block_by_label("L1").unwrap();
-        let i = f.var_by_name("i").unwrap();
-        let reaching = rd.reaching_defs_of(header, i);
-        assert_eq!(reaching.len(), 2, "init def + loop def");
     }
 
     #[test]

@@ -18,9 +18,8 @@
 //! - **natural-loop detection** and a loop-nest forest, with a
 //!   loop-simplify pass that guarantees preheaders and unique latches
 //!   ([`loops::LoopForest`]);
-//! - an iterative bit-vector **dataflow framework** with reaching
-//!   definitions and liveness (used by the classical baseline detector and
-//!   by SSA pruning) ([`dataflow`]);
+//! - an iterative bit-vector **liveness** analysis, used by SSA pruning
+//!   ([`dataflow`]);
 //! - an IR **verifier** and a concrete **interpreter** used for
 //!   differential testing of closed forms ([`interp::Interpreter`]).
 //!

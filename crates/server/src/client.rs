@@ -27,15 +27,9 @@ const MAX_BUSY_WAIT: Duration = Duration::from_secs(30);
 static BACKOFF_EXHAUSTED: AtomicU64 = AtomicU64::new(0);
 
 /// How many requests (in this process) exhausted their busy backoff
-/// budget. The fleet router surfaces the delta per batch.
+/// budget — `bivc --remote` and every fleet router group alike.
 pub fn backoff_exhausted() -> u64 {
     BACKOFF_EXHAUSTED.load(Ordering::Relaxed)
-}
-
-/// Records one request giving up on busy backoff. Public so the fleet
-/// router's own retry loop counts against the same ledger.
-pub fn note_backoff_exhausted() {
-    BACKOFF_EXHAUSTED.fetch_add(1, Ordering::Relaxed);
 }
 
 /// How large the attempt-scaled backoff base may grow, so ten retries
@@ -57,8 +51,8 @@ const MAX_BACKOFF_MS: u64 = 10_000;
 /// id and attempt number — decorrelated across clients, yet
 /// reproducible within one (no global RNG state, no new dependency).
 ///
-/// Public because the fleet router applies the same policy to its
-/// per-shard submissions.
+/// Public so retry loops outside [`Client::analyze_with`] — replica
+/// pushes — pace themselves the same way.
 pub fn busy_backoff(hint_ms: u64, attempt: u32) -> Duration {
     let base = hint_ms
         .max(1)
@@ -125,8 +119,11 @@ impl Client {
         self.analyze_with(files, cache_cap, false)
     }
 
-    /// [`Client::analyze`] with invariant rendering requested (the
-    /// `invariants` wire op).
+    /// [`Client::analyze`] with invariant rendering chosen (the
+    /// `invariants` request field). This is the one busy-backoff loop:
+    /// at most 10 retries and 30 s of cumulative sleep; past either, the
+    /// final `busy` is returned and counted in [`backoff_exhausted`].
+    /// The fleet router submits every shard group through it.
     pub fn analyze_with(
         &mut self,
         files: Vec<AnalyzeFile>,
@@ -145,7 +142,7 @@ impl Client {
                 Response::Busy { retry_after_ms } => {
                     let pause = busy_backoff(retry_after_ms, retries + 1);
                     if retries >= MAX_BUSY_RETRIES || slept + pause > MAX_BUSY_WAIT {
-                        note_backoff_exhausted();
+                        BACKOFF_EXHAUSTED.fetch_add(1, Ordering::Relaxed);
                         return Ok(Response::Busy { retry_after_ms });
                     }
                     retries += 1;
@@ -231,9 +228,28 @@ mod tests {
     }
 
     #[test]
-    fn backoff_exhausted_counter_is_monotonic() {
+    fn busy_past_the_retry_budget_is_returned_and_counted_once() {
+        // A server that answers every frame `busy` with a zero hint: the
+        // client retries exactly MAX_BUSY_RETRIES times (a few ms of
+        // floored sleeps), then hands back the last `busy`.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let busy = Response::Busy { retry_after_ms: 0 }.encode();
+            let mut frames = 0u32;
+            while read_frame(&mut stream, MAX_FRAME_BYTES).unwrap().is_some() {
+                frames += 1;
+                write_frame(&mut stream, &busy).unwrap();
+            }
+            frames
+        });
         let before = backoff_exhausted();
-        note_backoff_exhausted();
+        let mut client = Client::connect(&Endpoint::Tcp(addr.to_string())).unwrap();
+        let reply = client.analyze(Vec::new(), None).unwrap();
+        assert_eq!(reply, Response::Busy { retry_after_ms: 0 });
         assert!(backoff_exhausted() > before);
+        drop(client);
+        assert_eq!(server.join().unwrap(), MAX_BUSY_RETRIES + 1);
     }
 }

@@ -57,5 +57,5 @@ pub use client::Client;
 pub use cluster::{ClusterHandle, ClusterHook, Member, MemberState, View};
 pub use json::Json;
 pub use net::{Conn, Endpoint, Listener};
-pub use proto::{AnalyzeFile, FileError, FleetFile, ReplicaEntry, Request, Response};
+pub use proto::{AnalyzeFile, FileBlock, FileError, ReplicaEntry, Request, Response};
 pub use server::{ServeSummary, Server, ServerConfig};

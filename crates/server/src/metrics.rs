@@ -11,7 +11,8 @@
 //! The bucket layout is HdrHistogram's (Gil Tene,
 //! <http://hdrhistogram.org>): 32 linear sub-buckets per power of two,
 //! over whole microseconds. Values below 64 µs are exact; a larger
-//! value's bucket is at most 1/32 of its lower bound wide.
+//! value's bucket is at most 1/32 of its lower bound wide. Values from
+//! 2³² µs (~71 min, far past any request timeout) share the top bucket.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -31,12 +32,17 @@ const SUB_BUCKETS: u64 = 32;
 /// Values below this have a bucket of their own.
 const EXACT: u64 = 2 * SUB_BUCKETS;
 
-/// Buckets covering every `u64`: the 64 exact ones, then 32 for each
-/// power of two from 2⁶ to 2⁶³.
-const BUCKETS: usize = (EXACT + (64 - 6) * SUB_BUCKETS) as usize;
+/// The largest value with a bucket of its own range; larger values are
+/// clamped to it.
+const MAX_US: u64 = (1 << 32) - 1;
 
-/// The bucket holding `us`.
+/// Buckets covering `0..=MAX_US`: the 64 exact ones, then 32 for each
+/// power of two from 2⁶ to 2³¹ — 896 in all.
+const BUCKETS: usize = (EXACT + (32 - 6) * SUB_BUCKETS) as usize;
+
+/// The bucket holding `us` (the top one from `MAX_US` up).
 fn bucket_index(us: u64) -> usize {
+    let us = us.min(MAX_US);
     if us < EXACT {
         return us as usize;
     }
@@ -594,20 +600,25 @@ mod tests {
             assert_eq!(bucket_bounds(bucket_index(us)), (us, us));
         }
         // Every bucket starts right after the previous one ends, so the
-        // index is monotonic in the value and covers every u64.
+        // index is monotonic in the value and covers 0..=MAX_US.
         let mut next = 0u64;
         for index in 0..BUCKETS {
             let (low, high) = bucket_bounds(index);
             assert_eq!(low, next, "gap before bucket {index}");
             assert_eq!(bucket_index(low), index);
             assert_eq!(bucket_index(high), index);
-            next = high.wrapping_add(1);
+            next = high + 1;
         }
-        assert_eq!(next, 0, "the last bucket ends at u64::MAX");
-        // A sweep up to ten hours: each value's bucket is at most 1/32
-        // of its lower bound wide.
+        assert_eq!(BUCKETS, 896);
+        assert_eq!(next, 1 << 32, "the last bucket ends at MAX_US");
+        // Past it, everything clamps into the last bucket.
+        for us in [MAX_US + 1, 36_000_000_000, u64::MAX] {
+            assert_eq!(bucket_index(us), BUCKETS - 1, "{us}");
+        }
+        // A sweep up to MAX_US: each value's bucket is at most 1/32 of
+        // its lower bound wide.
         let mut us = EXACT;
-        while us < 36_000_000_000 {
+        while us <= MAX_US {
             let (low, high) = bucket_bounds(bucket_index(us));
             assert!(low <= us && us <= high);
             assert!(
@@ -652,6 +663,21 @@ mod tests {
         assert_eq!(s.max_us, 10_000_000, "lifetime max survives");
         phase.record(Duration::from_millis(1));
         assert_eq!(phase.snapshot().window.count(), WINDOW + 1);
+    }
+
+    #[test]
+    fn a_sample_past_the_range_lands_in_the_last_bucket_and_keeps_its_max() {
+        let huge = i64::MAX as u64;
+        let mut phase = PhaseRecorder::default();
+        phase.record(Duration::from_micros(huge));
+        let s = phase.snapshot();
+        assert_eq!(s.window.counts[BUCKETS - 1], 1);
+        assert_eq!(s.window.count(), 1);
+        assert_eq!(s.window.percentile(100.0), bucket_bounds(BUCKETS - 1).0);
+        assert_eq!(s.max_us, huge, "max_us stays exact");
+        let json = s.to_json();
+        assert_eq!(json.get("max_us").unwrap().as_i64(), Some(i64::MAX));
+        assert_eq!(PhaseLatency::from_json(&json), s);
     }
 
     #[test]

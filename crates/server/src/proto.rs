@@ -9,8 +9,7 @@
 //! | request | response |
 //! |---------|----------|
 //! | `{"op":"ping"}` | `{"ok":true,"op":"pong"}` |
-//! | `{"op":"analyze","files":[{"path","source"},…],"cache_cap"?,"invariants"?}` | `{"ok":true,"op":"analyze","output",…,"errors":[…]}` |
-//! | `{"op":"analyze_fleet","files":[…],"cache_cap"?,"invariants"?}` | `{"ok":true,"op":"analyze_fleet","files":[{"path","output","hashes",…}]}` |
+//! | `{"op":"analyze","files":[{"path","source"},…],"cache_cap"?,"invariants"?}` | `{"ok":true,"op":"analyze","output",…,"errors":[…],"files":[{"bytes","hashes"},…]}` |
 //! | `{"op":"preload","dir":PATH}` | `{"ok":true,"op":"preload","loaded":N}` |
 //! | `{"op":"stats"}` | `{"ok":true,"op":"stats","stats":{…}}` |
 //! | `{"op":"gossip","from"?,"view":{…}}` | `{"ok":true,"op":"gossip","view":{…}}` |
@@ -25,12 +24,15 @@
 //! kind additionally carries `retry_after_ms` — the server's explicit
 //! backpressure signal.
 //!
-//! The fleet variant of analyze differs from the plain one in exactly
-//! one way: instead of a single rendered report ending in a stats line,
-//! it returns *per-file* blocks plus each file's structural hashes, so
-//! the router can reassemble responses from many shards in input order
-//! and replay the cold stats line over the whole batch itself —
-//! byte-identical to one local run, no matter how files were sharded.
+//! An analyze reply's `files` describe its `output` per request file:
+//! the byte length of the file's `══ path ══` block (0 for a file that
+//! failed to parse, whose message is the next `errors` entry) and the
+//! structural hashes of its functions. The fleet router cuts each
+//! shard's reply into per-file blocks by these spans, reassembles them
+//! in input order and replays the cold stats line over the whole batch
+//! itself — byte-identical to one local run, no matter how files were
+//! sharded. There is one analyze op; a router and its shards are
+//! upgraded together.
 
 use crate::json::Json;
 
@@ -74,19 +76,6 @@ pub enum Request {
         /// affects what gets cached or stored.
         invariants: bool,
     },
-    /// Analyze a batch on one fleet shard, returning per-file blocks
-    /// instead of a finished report (see the module docs).
-    AnalyzeFleet {
-        /// Files in output order.
-        files: Vec<AnalyzeFile>,
-        /// Cold-replay cache capacity, as for [`Request::Analyze`].
-        /// Carried so a shard answering a *whole* batch alone (fleet of
-        /// one) replays the same capacity the router would.
-        cache_cap: Option<usize>,
-        /// Render invariant lines in the per-file blocks, as for
-        /// [`Request::Analyze`].
-        invariants: bool,
-    },
     /// Preload the server's cache from a drained shard's store
     /// snapshot directory — the warm-handoff half of a fleet rebalance.
     Preload {
@@ -128,22 +117,19 @@ pub struct FileError {
     pub message: String,
 }
 
-/// One file's result inside a fleet analyze response.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FleetFile {
-    /// The file's display path, echoed back for reassembly sanity.
-    pub path: String,
-    /// The rendered per-file block: the `══ path ══` header plus this
-    /// file's function blocks, no stats line. Empty when `error` is
-    /// set.
-    pub output: String,
+/// One request file's share of an analyze response (see the module
+/// docs).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct FileBlock {
+    /// UTF-8 byte length of the file's block in `output`; the blocks
+    /// tile `output` from its start in request order. 0 when the file
+    /// failed to parse.
+    pub bytes: usize,
     /// Structural hashes of the file's functions in render order
-    /// (hex-encoded on the wire — they do not fit a JSON `i64`). The
-    /// router concatenates these across shards in input order to replay
-    /// the whole batch's cold stats line.
+    /// (16 hex digits each on the wire — they do not fit a JSON
+    /// `i64`). The router concatenates these across shards in input
+    /// order to replay the whole batch's cold stats line.
     pub hashes: Vec<u64>,
-    /// The parse failure, when the file contributed nothing.
-    pub error: Option<String>,
 }
 
 /// A response frame.
@@ -164,18 +150,8 @@ pub enum Response {
         cached: usize,
         /// Files that failed to parse; the rest were still analyzed.
         errors: Vec<FileError>,
-    },
-    /// Reply to [`Request::AnalyzeFleet`]: per-file blocks in request
-    /// order.
-    AnalyzeFleet {
-        /// One entry per requested file, in request order.
-        files: Vec<FleetFile>,
-        /// Functions analyzed or served from cache in this batch.
-        functions: usize,
-        /// Distinct structures actually analyzed for this request.
-        analyzed: usize,
-        /// Functions served from the warm shared cache.
-        cached: usize,
+        /// One entry per request file, in request order.
+        files: Vec<FileBlock>,
     },
     /// Reply to [`Request::Preload`].
     PreloadAck {
@@ -247,10 +223,10 @@ fn encode_files(files: &[AnalyzeFile]) -> Json {
     )
 }
 
-fn decode_files(json: &Json, op: &str) -> Result<Vec<AnalyzeFile>, ProtoError> {
+fn decode_files(json: &Json) -> Result<Vec<AnalyzeFile>, ProtoError> {
     json.get("files")
         .and_then(Json::as_arr)
-        .ok_or_else(|| bad(format!("{op} needs a `files` array")))?
+        .ok_or_else(|| bad("analyze needs a `files` array"))?
         .iter()
         .map(|f| {
             let path = f
@@ -280,16 +256,13 @@ fn decode_cache_cap(json: &Json) -> Result<Option<usize>, ProtoError> {
     }
 }
 
-/// Encodes the fields `analyze` and `analyze_fleet` share. Optional
-/// fields are written only when set, so a plain request's bytes carry
-/// neither.
-fn encode_analyze(
-    op: &str,
-    files: &[AnalyzeFile],
-    cache_cap: Option<usize>,
-    invariants: bool,
-) -> Json {
-    let mut pairs = vec![("op", Json::Str(op.into())), ("files", encode_files(files))];
+/// Encodes an analyze request. Optional fields are written only when
+/// set, so a plain request's bytes carry neither.
+fn encode_analyze(files: &[AnalyzeFile], cache_cap: Option<usize>, invariants: bool) -> Json {
+    let mut pairs = vec![
+        ("op", Json::Str("analyze".into())),
+        ("files", encode_files(files)),
+    ];
     if let Some(cap) = cache_cap {
         pairs.push(("cache_cap", Json::Int(cap as i64)));
     }
@@ -315,6 +288,15 @@ fn decode_u32(json: &Json, key: &str) -> Result<u32, ProtoError> {
         .and_then(Json::as_i64)
         .and_then(|n| u32::try_from(n).ok())
         .ok_or_else(|| bad(format!("`{key}` must be a u32")))
+}
+
+/// A structural hash on the wire: exactly 16 hex digits.
+fn decode_hash(json: &Json) -> Option<u64> {
+    let text = json.as_str()?;
+    if text.len() != 16 || !text.bytes().all(|b| b.is_ascii_hexdigit()) {
+        return None;
+    }
+    u64::from_str_radix(text, 16).ok()
 }
 
 fn hex_encode(bytes: &[u8]) -> String {
@@ -349,12 +331,7 @@ impl Request {
                 files,
                 cache_cap,
                 invariants,
-            } => encode_analyze("analyze", files, *cache_cap, *invariants),
-            Request::AnalyzeFleet {
-                files,
-                cache_cap,
-                invariants,
-            } => encode_analyze("analyze_fleet", files, *cache_cap, *invariants),
+            } => encode_analyze(files, *cache_cap, *invariants),
             Request::Preload { dir } => Json::obj(vec![
                 ("op", Json::Str("preload".into())),
                 ("dir", Json::Str(dir.clone())),
@@ -402,12 +379,7 @@ impl Request {
             "stats" => Ok(Request::Stats),
             "shutdown" => Ok(Request::Shutdown),
             "analyze" => Ok(Request::Analyze {
-                files: decode_files(&json, op)?,
-                cache_cap: decode_cache_cap(&json)?,
-                invariants: decode_invariants(&json)?,
-            }),
-            "analyze_fleet" => Ok(Request::AnalyzeFleet {
-                files: decode_files(&json, op)?,
+                files: decode_files(&json)?,
                 cache_cap: decode_cache_cap(&json)?,
                 invariants: decode_invariants(&json)?,
             }),
@@ -440,11 +412,9 @@ impl Request {
                     .ok_or_else(|| bad("replicate needs an `entries` array"))?
                     .iter()
                     .map(|e| {
-                        let hash = e
-                            .get("hash")
-                            .and_then(Json::as_str)
-                            .and_then(|s| u64::from_str_radix(s, 16).ok())
-                            .ok_or_else(|| bad("replica entries carry a 16-digit hex `hash`"))?;
+                        let hash = e.get("hash").and_then(decode_hash);
+                        let hash =
+                            hash.ok_or_else(|| bad("replica entries carry a 16-digit hex `hash`"))?;
                         let bytes = hex_decode(
                             e.get("summary")
                                 .and_then(Json::as_str)
@@ -483,6 +453,7 @@ impl Response {
                 analyzed,
                 cached,
                 errors,
+                files,
             } => Json::obj(vec![
                 ("ok", Json::Bool(true)),
                 ("op", Json::Str("analyze".into())),
@@ -504,45 +475,22 @@ impl Response {
                             .collect(),
                     ),
                 ),
-            ]),
-            Response::AnalyzeFleet {
-                files,
-                functions,
-                analyzed,
-                cached,
-            } => Json::obj(vec![
-                ("ok", Json::Bool(true)),
-                ("op", Json::Str("analyze_fleet".into())),
                 (
                     "files",
                     Json::Arr(
                         files
                             .iter()
                             .map(|f| {
-                                let mut pairs = vec![
-                                    ("path", Json::Str(f.path.clone())),
-                                    ("output", Json::Str(f.output.clone())),
-                                    (
-                                        "hashes",
-                                        Json::Arr(
-                                            f.hashes
-                                                .iter()
-                                                .map(|h| Json::Str(format!("{h:016x}")))
-                                                .collect(),
-                                        ),
-                                    ),
-                                ];
-                                if let Some(e) = &f.error {
-                                    pairs.push(("error", Json::Str(e.clone())));
-                                }
-                                Json::obj(pairs)
+                                let hashes =
+                                    f.hashes.iter().map(|h| Json::Str(format!("{h:016x}")));
+                                Json::obj(vec![
+                                    ("bytes", Json::Int(f.bytes as i64)),
+                                    ("hashes", Json::Arr(hashes.collect())),
+                                ])
                             })
                             .collect(),
                     ),
                 ),
-                ("functions", Json::Int(*functions as i64)),
-                ("analyzed", Json::Int(*analyzed as i64)),
-                ("cached", Json::Int(*cached as i64)),
             ]),
             Response::PreloadAck { loaded } => Json::obj(vec![
                 ("ok", Json::Bool(true)),
@@ -651,69 +599,39 @@ impl Response {
                         })
                     })
                     .collect::<Result<Vec<_>, ProtoError>>()?;
+                // Absent from a reply older than the field: empty, which
+                // the fleet router refuses and `--remote` never reads.
+                let files = json
+                    .get("files")
+                    .and_then(Json::as_arr)
+                    .unwrap_or(&[])
+                    .iter()
+                    .map(|f| {
+                        let bytes = f
+                            .get("bytes")
+                            .and_then(Json::as_i64)
+                            .and_then(|n| usize::try_from(n).ok())
+                            .ok_or_else(|| bad("file block needs a non-negative `bytes`"))?;
+                        let hashes = f
+                            .get("hashes")
+                            .and_then(Json::as_arr)
+                            .ok_or_else(|| bad("file block needs `hashes`"))?
+                            .iter()
+                            .map(|h| {
+                                decode_hash(h)
+                                    .ok_or_else(|| bad("hash entries are 16-digit hex strings"))
+                            })
+                            .collect::<Result<Vec<u64>, ProtoError>>()?;
+                        Ok(FileBlock { bytes, hashes })
+                    })
+                    .collect::<Result<Vec<_>, ProtoError>>()?;
                 Ok(Response::Analyze {
                     output,
                     functions: int("functions")?,
                     analyzed: int("analyzed")?,
                     cached: int("cached")?,
                     errors,
-                })
-            }
-            "analyze_fleet" => {
-                let int = |key: &str| {
-                    json.get(key)
-                        .and_then(Json::as_i64)
-                        .and_then(|n| usize::try_from(n).ok())
-                        .ok_or_else(|| bad(format!("analyze_fleet response needs `{key}`")))
-                };
-                let files = json
-                    .get("files")
-                    .and_then(Json::as_arr)
-                    .ok_or_else(|| bad("analyze_fleet response needs `files`"))?
-                    .iter()
-                    .map(|f| {
-                        let path = f
-                            .get("path")
-                            .and_then(Json::as_str)
-                            .ok_or_else(|| bad("fleet file entry needs `path`"))?
-                            .to_string();
-                        let output = f
-                            .get("output")
-                            .and_then(Json::as_str)
-                            .ok_or_else(|| bad("fleet file entry needs `output`"))?
-                            .to_string();
-                        let hashes = f
-                            .get("hashes")
-                            .and_then(Json::as_arr)
-                            .ok_or_else(|| bad("fleet file entry needs `hashes`"))?
-                            .iter()
-                            .map(|h| {
-                                h.as_str()
-                                    .and_then(|s| u64::from_str_radix(s, 16).ok())
-                                    .ok_or_else(|| bad("hash entries are 16-digit hex strings"))
-                            })
-                            .collect::<Result<Vec<u64>, ProtoError>>()?;
-                        let error = match f.get("error") {
-                            None | Some(Json::Null) => None,
-                            Some(v) => Some(
-                                v.as_str()
-                                    .ok_or_else(|| bad("fleet file `error` must be a string"))?
-                                    .to_string(),
-                            ),
-                        };
-                        Ok(FleetFile {
-                            path,
-                            output,
-                            hashes,
-                            error,
-                        })
-                    })
-                    .collect::<Result<Vec<_>, ProtoError>>()?;
-                Ok(Response::AnalyzeFleet {
                     files,
-                    functions: int("functions")?,
-                    analyzed: int("analyzed")?,
-                    cached: int("cached")?,
                 })
             }
             "preload" => Ok(Response::PreloadAck {
@@ -776,19 +694,6 @@ mod tests {
                     source: "func f(n) { i = 1 s = 0 loop { s = s + i i = i + 1 if i > n { break } } }\n".into(),
                 }],
                 cache_cap: Some(8),
-                invariants: true,
-            },
-            Request::AnalyzeFleet {
-                files: vec![AnalyzeFile {
-                    path: "dir/y.biv".into(),
-                    source: "func g(n) { L1: for i = 1 to n { A[i] = i } }\n".into(),
-                }],
-                cache_cap: None,
-                invariants: false,
-            },
-            Request::AnalyzeFleet {
-                files: vec![],
-                cache_cap: Some(4),
                 invariants: true,
             },
             Request::Preload {
@@ -873,25 +778,13 @@ mod tests {
                     path: "bad.biv".into(),
                     message: "bad.biv: parse error: …".into(),
                 }],
-            },
-            Response::AnalyzeFleet {
                 files: vec![
-                    FleetFile {
-                        path: "x.biv".into(),
-                        output: "══ x.biv ══\nfunc f [00000000075bcd15]\n".into(),
+                    FileBlock {
+                        bytes: 45,
                         hashes: vec![123456789, u64::MAX],
-                        error: None,
                     },
-                    FleetFile {
-                        path: "bad.biv".into(),
-                        output: String::new(),
-                        hashes: vec![],
-                        error: Some("bad.biv: parse error: …".into()),
-                    },
+                    FileBlock::default(),
                 ],
-                functions: 2,
-                analyzed: 1,
-                cached: 1,
             },
             Response::PreloadAck { loaded: 42 },
             Response::Gossip {
@@ -918,19 +811,10 @@ mod tests {
         assert!(Request::decode(br#"{"op":"analyze"}"#).is_err());
         assert!(Response::decode(br#"{"op":"pong"}"#).is_err());
         assert!(Request::decode(&[0xff, 0xfe]).is_err());
-        // Fleet frames: missing files and non-hex hashes fail as
-        // protocol errors, never as panics or silent defaults.
-        assert!(Request::decode(br#"{"op":"analyze_fleet"}"#).is_err());
         assert!(Request::decode(br#"{"op":"preload"}"#).is_err());
-        // `invariants` is a field, not an op, and must be a boolean on
-        // both analyze shapes.
+        // `invariants` is a field, not an op, and must be a boolean.
         assert!(Request::decode(br#"{"op":"invariants","files":[]}"#).is_err());
         assert!(Request::decode(br#"{"op":"analyze","files":[],"invariants":"yes"}"#).is_err());
-        assert!(Request::decode(br#"{"op":"analyze_fleet","files":[],"invariants":1}"#).is_err());
-        assert!(Response::decode(
-            br#"{"ok":true,"op":"analyze_fleet","files":[{"path":"x","output":"","hashes":["zz"]}],"functions":0,"analyzed":0,"cached":0}"#
-        )
-        .is_err());
         assert!(Response::decode(br#"{"ok":true,"op":"preload"}"#).is_err());
         // Membership and replication frames: a gossip without a view
         // (or with a view that has no member list), replica entries
@@ -953,5 +837,60 @@ mod tests {
         .is_err());
         assert!(Response::decode(br#"{"ok":true,"op":"members"}"#).is_err());
         assert!(Response::decode(br#"{"ok":true,"op":"replicate"}"#).is_err());
+    }
+
+    #[test]
+    fn analyze_fleet_is_an_unknown_op() {
+        // One analyze op: the old fleet request shape is refused by
+        // name, so a router from before the fold fails loudly.
+        let old = br#"{"op":"analyze_fleet","files":[],"cache_cap":4}"#;
+        assert_eq!(
+            Request::decode(old).unwrap_err(),
+            ProtoError("unknown op `analyze_fleet`".into())
+        );
+    }
+
+    #[test]
+    fn analyze_file_blocks_are_checked_on_decode() {
+        let reply = |files: &str| {
+            format!(
+                r#"{{"ok":true,"op":"analyze","output":"","functions":0,"analyzed":0,"cached":0,"errors":[],"files":{files}}}"#
+            )
+        };
+        let good = reply(r#"[{"bytes":12,"hashes":["00000000075bcd15"]},{"bytes":0,"hashes":[]}]"#);
+        let Response::Analyze { files, .. } = Response::decode(good.as_bytes()).unwrap() else {
+            panic!("expected an analyze reply");
+        };
+        assert_eq!(
+            files,
+            vec![
+                FileBlock {
+                    bytes: 12,
+                    hashes: vec![123456789],
+                },
+                FileBlock::default(),
+            ]
+        );
+        for bad_files in [
+            r#"[{"bytes":-1,"hashes":[]}]"#,
+            r#"[{"bytes":1.5,"hashes":[]}]"#,
+            r#"[{"hashes":[]}]"#,
+            r#"[{"bytes":3}]"#,
+            r#"[{"bytes":3,"hashes":["zz"]}]"#,
+            r#"[{"bytes":3,"hashes":["+00000000000000f"]}]"#,
+            r#"[{"bytes":3,"hashes":["75bcd15"]}]"#,
+            r#"[{"bytes":3,"hashes":[7]}]"#,
+        ] {
+            assert!(
+                Response::decode(reply(bad_files).as_bytes()).is_err(),
+                "{bad_files}"
+            );
+        }
+        // A reply from before the field decodes with no blocks.
+        let old = br#"{"ok":true,"op":"analyze","output":"x","functions":0,"analyzed":0,"cached":0,"errors":[]}"#;
+        let Response::Analyze { files, .. } = Response::decode(old).unwrap() else {
+            panic!("expected an analyze reply");
+        };
+        assert!(files.is_empty());
     }
 }

@@ -41,7 +41,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use biv_core::{
-    analyze_sources_with_backend, cold_batch_stats, render_grouped_with, resolve_jobs,
+    analyze_sources_with_backend, cold_batch_stats, render_grouped_spans, resolve_jobs,
     AnalysisConfig, BatchOptions, Budget, CacheBackend, FileIndex, Locked, StructuralCache,
 };
 use biv_store::{Store, StoreOptions, TieredCache};
@@ -53,7 +53,7 @@ use crate::frame::MAX_FRAME_BYTES;
 use crate::metrics::{Metrics, PhaseSample, ShardInfo, TierGauges};
 use crate::net::{Endpoint, Listener};
 use crate::pool::{JobQueue, PushError};
-use crate::proto::{AnalyzeFile, FileError, FleetFile, ReplicaEntry, Request, Response};
+use crate::proto::{AnalyzeFile, FileBlock, FileError, ReplicaEntry, Request, Response};
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -158,14 +158,9 @@ impl Reply {
 
 /// What a queued job does.
 pub(crate) enum JobKind {
-    /// A plain analyze: one rendered report ending in the stats line.
+    /// An analyze: one rendered report ending in the stats line, plus
+    /// each file's block span and hashes.
     Analyze {
-        files: Vec<AnalyzeFile>,
-        cache_cap: Option<usize>,
-        invariants: bool,
-    },
-    /// A fleet analyze: per-file blocks plus hashes, no stats line.
-    AnalyzeFleet {
         files: Vec<AnalyzeFile>,
         cache_cap: Option<usize>,
         invariants: bool,
@@ -411,28 +406,7 @@ fn process_job(shared: &Shared<'_>, opts: &BatchOptions, job: &Job) -> Response 
             files,
             cache_cap,
             invariants,
-        } => process_analyze(
-            shared,
-            opts,
-            job.submitted,
-            files,
-            *cache_cap,
-            false,
-            *invariants,
-        ),
-        JobKind::AnalyzeFleet {
-            files,
-            cache_cap,
-            invariants,
-        } => process_analyze(
-            shared,
-            opts,
-            job.submitted,
-            files,
-            *cache_cap,
-            true,
-            *invariants,
-        ),
+        } => process_analyze(shared, opts, job.submitted, files, *cache_cap, *invariants),
         JobKind::Preload { dir } => process_preload(shared, dir),
         JobKind::Replicate { entries } => process_replicate(shared, entries),
     }
@@ -448,18 +422,18 @@ fn process_job(shared: &Shared<'_>, opts: &BatchOptions, job: &Job) -> Response 
 /// and rendering are the same, so the bytes are too. The `parse` phase
 /// records the index lookups plus any parsing.
 ///
-/// In `fleet` shape the response carries one block per *file* (header +
-/// that file's function summaries) plus the file's structural hashes,
-/// and no stats line — the router owns the stats line, replayed cold
-/// over the whole batch after reassembly, which is what keeps a sharded
-/// run byte-identical to a local one.
+/// Beside the rendered report, the response carries one [`FileBlock`]
+/// per request file: the byte span of its block in `output` and its
+/// structural hashes. The fleet router cuts shard replies apart by
+/// these and replays the stats line cold over the whole batch after
+/// reassembly, which is what keeps a sharded run byte-identical to a
+/// local one.
 fn process_analyze(
     shared: &Shared<'_>,
     opts: &BatchOptions,
     submitted: Instant,
     files: &[AnalyzeFile],
     cache_cap: Option<usize>,
-    fleet: bool,
     invariants: bool,
 ) -> Response {
     let queue_wait = submitted.elapsed();
@@ -503,66 +477,47 @@ fn process_analyze(
 
     let t = Instant::now();
     let replay_cap = cache_cap.unwrap_or_else(|| BatchOptions::default().cache_capacity);
-    let response = if fleet {
-        let mut next = 0usize;
-        let mut out_files = Vec::with_capacity(files.len());
-        for (file, outcome) in files.iter().zip(&parsed) {
-            match outcome {
-                Ok(count) => {
-                    let mut output = format!("══ {} ══\n", file.path);
-                    let mut hashes = Vec::with_capacity(*count);
-                    for summary in &report.functions[next..next + count] {
-                        output.push_str(&summary.render_with(invariants));
-                        hashes.push(summary.hash);
-                    }
-                    next += count;
-                    out_files.push(FleetFile {
-                        path: file.path.clone(),
-                        output,
-                        hashes,
-                        error: None,
-                    });
+    // The rendered stats line replays a cold cache at the client's
+    // capacity, so the output never depends on what earlier requests
+    // warmed — see the module docs. Cumulative warm counters remain
+    // visible through `stats`.
+    let mut ranges: Vec<(String, usize)> = Vec::new();
+    let mut errors: Vec<FileError> = Vec::new();
+    for (file, outcome) in files.iter().zip(&parsed) {
+        match outcome {
+            Ok(count) => ranges.push((file.path.clone(), *count)),
+            Err(message) => errors.push(FileError {
+                path: file.path.clone(),
+                message: message.clone(),
+            }),
+        }
+    }
+    let hashes: Vec<u64> = report.functions.iter().map(|f| f.hash).collect();
+    let cold = cold_batch_stats(&hashes, replay_cap);
+    let (output, spans) = render_grouped_spans(&ranges, &report.functions, &cold, invariants);
+    let mut spans = spans.into_iter();
+    let mut rest = hashes.as_slice();
+    let blocks = parsed
+        .iter()
+        .map(|outcome| match outcome {
+            Ok(count) => {
+                let (mine, tail) = rest.split_at(*count);
+                rest = tail;
+                FileBlock {
+                    bytes: spans.next().unwrap_or_default(),
+                    hashes: mine.to_vec(),
                 }
-                Err(message) => out_files.push(FleetFile {
-                    path: file.path.clone(),
-                    output: String::new(),
-                    hashes: Vec::new(),
-                    error: Some(message.clone()),
-                }),
             }
-        }
-        Response::AnalyzeFleet {
-            files: out_files,
-            functions: report.stats.functions,
-            analyzed: report.stats.misses,
-            cached: report.stats.hits,
-        }
-    } else {
-        // The rendered stats line replays a cold cache at the client's
-        // capacity, so the output never depends on what earlier
-        // requests warmed — see the module docs. Cumulative warm
-        // counters remain visible through `stats`.
-        let mut ranges: Vec<(String, usize)> = Vec::new();
-        let mut errors: Vec<FileError> = Vec::new();
-        for (file, outcome) in files.iter().zip(&parsed) {
-            match outcome {
-                Ok(count) => ranges.push((file.path.clone(), *count)),
-                Err(message) => errors.push(FileError {
-                    path: file.path.clone(),
-                    message: message.clone(),
-                }),
-            }
-        }
-        let hashes: Vec<u64> = report.functions.iter().map(|f| f.hash).collect();
-        let cold = cold_batch_stats(&hashes, replay_cap);
-        let output = render_grouped_with(&ranges, &report.functions, &cold, invariants);
-        Response::Analyze {
-            output,
-            functions: report.stats.functions,
-            analyzed: report.stats.misses,
-            cached: report.stats.hits,
-            errors,
-        }
+            Err(_) => FileBlock::default(),
+        })
+        .collect();
+    let response = Response::Analyze {
+        output,
+        functions: report.stats.functions,
+        analyzed: report.stats.misses,
+        cached: report.stats.hits,
+        errors,
+        files: blocks,
     };
     let render = t.elapsed();
 
@@ -689,15 +644,6 @@ pub(crate) fn route_request(shared: &Shared<'_>, request: Request) -> Routed {
             cache_cap,
             invariants,
         }),
-        Request::AnalyzeFleet {
-            files,
-            cache_cap,
-            invariants,
-        } => Routed::Queue(JobKind::AnalyzeFleet {
-            files,
-            cache_cap,
-            invariants,
-        }),
         Request::Preload { dir } => Routed::Queue(JobKind::Preload { dir }),
         // Membership ops are answered inline from the event loop: a
         // gossip merge is a small in-memory operation and must stay
@@ -737,7 +683,7 @@ pub(crate) fn route_request(shared: &Shared<'_>, request: Request) -> Routed {
 pub(crate) fn submit_job(shared: &Shared<'_>, kind: JobKind, reply: Reply) -> Result<(), Response> {
     // Only analyze jobs are answered by `process_analyze`, which counts
     // `analyze_ok`; preloads and replica pushes stay out of the books.
-    let analyze = matches!(kind, JobKind::Analyze { .. } | JobKind::AnalyzeFleet { .. });
+    let analyze = matches!(kind, JobKind::Analyze { .. });
     // Injected queue-full storm: reject exactly as a real full queue
     // would, *before* the request counts as accepted, so the
     // no-dropped-accepted-work invariant is untouched.
@@ -921,6 +867,7 @@ mod tests {
             analyzed,
             cached,
             errors,
+            ..
         } = response
         else {
             panic!("expected analyze response");
@@ -1285,7 +1232,7 @@ mod tests {
     }
 
     #[test]
-    fn fleet_analyze_returns_blocks_and_members_answers_a_single_view() {
+    fn analyze_reply_spans_file_blocks_and_members_answers_a_single_view() {
         let mut config = ServerConfig::new(Endpoint::Tcp(String::new()));
         config.workers = 1;
         config.shard_id = 1;
@@ -1305,62 +1252,74 @@ mod tests {
         );
         assert_eq!(View::single(1, 3, endpoint.clone()).replication, 3);
 
-        // A fleet batch gets per-file blocks plus hashes and no stats
-        // line — the router renders that itself.
-        let response = client
-            .request(&Request::AnalyzeFleet {
-                files: files(2),
-                cache_cap: None,
-                invariants: false,
-            })
-            .unwrap();
-        let Response::AnalyzeFleet {
-            files: blocks,
+        // A running sum carries invariant lines, so the spans must
+        // cover them; the broken file sits between two good ones.
+        let sums = "func sums(n) { i = 1 s = 0 loop { s = s + i i = i + 1 if i > n { break } } }\n";
+        let request = vec![
+            AnalyzeFile {
+                path: "ok.biv".into(),
+                source: format!("{SRC}{sums}"),
+            },
+            AnalyzeFile {
+                path: "bad.biv".into(),
+                source: "func oops {".into(),
+            },
+            AnalyzeFile {
+                path: "twin.biv".into(),
+                source: SRC.into(),
+            },
+        ];
+        let response = client.analyze_with(request.clone(), None, true).unwrap();
+        let Response::Analyze {
+            output,
             functions,
             analyzed,
             cached,
+            errors,
+            files: blocks,
         } = response
         else {
-            panic!("expected fleet analyze, got {response:?}");
+            panic!("expected analyze, got {response:?}");
         };
-        assert_eq!((functions, analyzed, cached), (2, 1, 1));
-        assert_eq!(blocks.len(), 2);
-        assert!(blocks[0].output.starts_with("══ mem/0.biv ══\n"));
-        assert!(blocks[1].output.starts_with("══ mem/1.biv ══\n"));
-        assert!(
-            !blocks[0].output.contains("batch:"),
-            "no stats line in shard output"
-        );
-        assert_eq!(blocks[0].hashes.len(), 1);
-        assert_eq!(blocks[0].hashes, blocks[1].hashes, "same structure");
-        assert!(blocks.iter().all(|b| b.error.is_none()));
+        assert_eq!((functions, analyzed, cached), (3, 2, 1));
+        assert!(output.contains("invariant: "), "{output}");
+        assert_eq!(blocks.len(), 3);
 
-        // A fleet batch with a broken file fails that file, not the
-        // batch.
-        let response = client
-            .request(&Request::AnalyzeFleet {
-                files: vec![
-                    AnalyzeFile {
-                        path: "ok.biv".into(),
-                        source: SRC.into(),
-                    },
-                    AnalyzeFile {
-                        path: "bad.biv".into(),
-                        source: "func oops {".into(),
-                    },
-                ],
-                cache_cap: None,
-                invariants: false,
-            })
-            .unwrap();
-        let Response::AnalyzeFleet { files: blocks, .. } = response else {
-            panic!("expected fleet analyze, got {response:?}");
-        };
-        assert_eq!(blocks.len(), 2);
-        assert!(blocks[0].error.is_none());
-        assert!(blocks[1].error.as_deref().unwrap().contains("parse error"));
-        assert!(blocks[1].output.is_empty());
-        assert!(blocks[1].hashes.is_empty());
+        // The broken file has no block; its message is `errors[0]`.
+        assert_eq!(blocks[1], FileBlock::default());
+        assert_eq!(errors.len(), 1);
+        assert_eq!(errors[0].path, "bad.biv");
+        assert!(errors[0].message.contains("parse error"), "{errors:?}");
+
+        // Each file's hashes are its functions' structural hashes.
+        for (file, block) in request.iter().zip(&blocks).filter(|(_, b)| b.bytes > 0) {
+            let program = biv_ir::parser::parse_program(&file.source).unwrap();
+            let want: Vec<u64> = program
+                .functions
+                .iter()
+                .map(biv_core::structural_hash)
+                .collect();
+            assert_eq!(block.hashes, want, "{}", file.path);
+        }
+        assert_eq!(blocks[0].hashes[0], blocks[2].hashes[0], "same structure");
+
+        // The blocks, cut by their spans, then the cold stats line over
+        // every hash, are exactly the output.
+        let mut rebuilt = String::new();
+        let mut at = 0;
+        for (file, block) in request.iter().zip(&blocks).filter(|(_, b)| b.bytes > 0) {
+            let text = &output[at..at + block.bytes];
+            assert!(
+                text.starts_with(&format!("══ {} ══\n", file.path)),
+                "{text}"
+            );
+            rebuilt.push_str(text);
+            at += block.bytes;
+        }
+        let hashes: Vec<u64> = blocks.iter().flat_map(|b| b.hashes.clone()).collect();
+        let cold = cold_batch_stats(&hashes, BatchOptions::default().cache_capacity);
+        rebuilt.push_str(&format!("{}\n", cold.render()));
+        assert_eq!(rebuilt, output);
 
         client.request(&Request::Shutdown).unwrap();
         handle.join().unwrap();
@@ -1450,12 +1409,6 @@ mod tests {
                 files: files(3),
                 cache_cap: None,
                 invariants: true,
-            }
-            .encode(),
-            Request::AnalyzeFleet {
-                files: files(2),
-                cache_cap: None,
-                invariants: false,
             }
             .encode(),
             b"this is not json".to_vec(),

@@ -2,7 +2,7 @@
 //!
 //! The paper notes that "often the initial value coming in from outside
 //! the loop can be evaluated and substituted, using an algorithm such as
-//! constant propagation [WZ91]". This pass is the workhorse version:
+//! constant propagation [WZ91]". This pass is that step:
 //! definitions whose operands are all constants become constant copies,
 //! iterated to a fixpoint, so copy-chasing consumers (the classifier's
 //! `resolve_copies`) see literal initial values.

@@ -38,7 +38,6 @@ mod dot;
 mod fold;
 mod interp;
 mod print;
-mod sccp;
 mod ssa;
 mod verify;
 
@@ -47,7 +46,6 @@ pub use dot::ssa_graph_to_dot;
 pub use fold::{constant_operand, fold_constants};
 pub use interp::{SsaInterpError, SsaInterpreter, SsaTrace};
 pub use print::ssa_to_string;
-pub use sccp::{Lattice, Sccp};
 pub use ssa::{Operand, SsaBlock, SsaFunction, SsaInst, SsaTerminator, Value, ValueData, ValueDef};
 pub use verify::{verify_ssa, SsaVerifyError};
 
