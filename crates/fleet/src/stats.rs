@@ -324,6 +324,30 @@ mod tests {
     }
 
     #[test]
+    fn event_loop_phases_merge_like_the_worker_phases() {
+        let phases = |decode: &[u64], encode: &[u64]| {
+            Json::obj(vec![(
+                "latency",
+                Json::obj(vec![
+                    ("decode", latency(decode).to_json()),
+                    ("encode", latency(encode).to_json()),
+                ]),
+            )])
+        };
+        let merged = merge_latency(&[phases(&[7, 9], &[30]), phases(&[700], &[8, 8])]);
+        assert_eq!(
+            merged.get("decode").unwrap(),
+            &latency(&[7, 9, 700]).to_json()
+        );
+        assert_eq!(
+            merged.get("encode").unwrap(),
+            &latency(&[30, 8, 8]).to_json()
+        );
+        let complete = merged.get("complete").unwrap();
+        assert_eq!(complete.get("count").unwrap().as_i64(), Some(0));
+    }
+
+    #[test]
     fn sections_sum_fieldwise() {
         let a = Json::obj(vec![(
             "requests",

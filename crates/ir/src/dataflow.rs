@@ -24,11 +24,6 @@ impl BitSet {
         }
     }
 
-    /// Number of elements in the universe.
-    pub fn universe(&self) -> usize {
-        self.len
-    }
-
     /// Inserts `idx`. Returns `true` if newly inserted.
     ///
     /// # Panics
@@ -73,16 +68,6 @@ impl BitSet {
             *a &= !b;
         }
     }
-
-    /// Iterates over set members in increasing order.
-    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.len).filter(move |&i| self.contains(i))
-    }
-
-    /// Number of members.
-    pub fn count(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
 }
 
 /// Live-variables analysis results (backward may-analysis).
@@ -91,8 +76,6 @@ pub struct Liveness {
     /// Variables live at block entry, indexed by block. Unreachable
     /// blocks keep empty sets.
     pub live_in: Vec<BitSet>,
-    /// Variables live at block exit, indexed by block.
-    pub live_out: Vec<BitSet>,
 }
 
 impl Liveness {
@@ -131,32 +114,24 @@ impl Liveness {
         }
         let po = func.postorder();
         let mut lin: Vec<BitSet> = (0..nblocks).map(|_| BitSet::new(n)).collect();
-        let mut lout: Vec<BitSet> = (0..nblocks).map(|_| BitSet::new(n)).collect();
         let mut changed = true;
         while changed {
             changed = false;
             for &b in &po {
                 let bi = b.index();
-                let mut out = BitSet::new(n);
+                let mut input = BitSet::new(n);
                 for s in func.successors(b) {
-                    out.union_with(&lin[s.index()]);
+                    input.union_with(&lin[s.index()]);
                 }
-                let mut input = out.clone();
                 input.subtract(&def_set[bi]);
                 input.union_with(&use_set[bi]);
-                if lout[bi] != out {
-                    lout[bi] = out;
-                }
                 if lin[bi] != input {
                     lin[bi] = input;
                     changed = true;
                 }
             }
         }
-        Liveness {
-            live_in: lin,
-            live_out: lout,
-        }
+        Liveness { live_in: lin }
     }
 
     /// Whether `var` is live at the entry of `block`.
@@ -180,9 +155,9 @@ mod tests {
         assert!(s.insert(129));
         assert!(!s.insert(0));
         assert!(s.contains(129));
+        assert!(s.contains(0));
         assert!(!s.contains(64));
-        assert_eq!(s.count(), 2);
-        assert_eq!(s.iter().collect::<Vec<_>>(), vec![0, 129]);
+        assert!(!s.contains(128));
     }
 
     #[test]

@@ -41,14 +41,15 @@ use std::os::fd::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use crate::frame::append_frame;
+use crate::metrics::LoopSample;
 use crate::net::{Conn, Endpoint, Listener};
 use crate::proto::{Request, Response};
 use crate::readiness::{Event, Readiness, ERROR, HANGUP, READABLE, WRITABLE};
 use crate::server::{
-    draining_response, route_request, submit_job, timeout_response, worker_loop, Routed,
+    draining_response, route_request, submit_job, timeout_response, worker_loop, JobKind, Routed,
     ServeSummary, ServerConfig, Shared,
 };
 
@@ -61,11 +62,23 @@ const FIRST_CONN_TOKEN: u64 = 2;
 /// Read chunk size; one scratch buffer is shared by every connection.
 const READ_CHUNK: usize = 64 * 1024;
 
+/// One worker result on its way back to the loop.
+struct Completion {
+    token: u64,
+    seq: u64,
+    response: Response,
+    /// When the worker sent it.
+    sent: Instant,
+    /// How long the request took to decode, for analyze jobs (the ones
+    /// whose loop phases are recorded).
+    decode: Option<Duration>,
+}
+
 /// Finished worker results on their way back to the loop: the shared
 /// queue plus a nonblocking socketpair whose read end wakes the loop's
 /// wait when a byte lands.
 struct Completions {
-    queue: Mutex<Vec<(u64, u64, Response)>>,
+    queue: Mutex<Vec<Completion>>,
     wake_tx: UnixStream,
     wake_rx: UnixStream,
 }
@@ -86,11 +99,11 @@ impl Completions {
     /// A worker's reply guard calls this while unwinding, where a second
     /// panic would abort, so a poisoned lock is recovered: a `Vec` push
     /// never leaves the queue half-updated.
-    fn push(&self, token: u64, seq: u64, response: Response) {
+    fn push(&self, completion: Completion) {
         self.queue
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .push((token, seq, response));
+            .push(completion);
         // `WouldBlock` means the pair's buffer is full of earlier wake
         // bytes, so the loop is already due to wake. Any other failure
         // still leaves the completion visible to the next poll-interval
@@ -114,7 +127,7 @@ impl Completions {
     }
 
     /// Called from the loop: take everything queued.
-    fn take(&self) -> Vec<(u64, u64, Response)> {
+    fn take(&self) -> Vec<Completion> {
         std::mem::take(&mut *self.queue.lock().expect("completion queue poisoned"))
     }
 }
@@ -125,6 +138,8 @@ pub(crate) struct Reply {
     completions: Arc<Completions>,
     token: u64,
     seq: u64,
+    /// The request's decode time, for an analyze job.
+    decode: Option<Duration>,
 }
 
 impl Reply {
@@ -132,7 +147,13 @@ impl Reply {
     /// `seq` against the connection's pending job and counts
     /// `late_results` itself.
     pub(crate) fn send(&self, response: Response) {
-        self.completions.push(self.token, self.seq, response);
+        self.completions.push(Completion {
+            token: self.token,
+            seq: self.seq,
+            response,
+            sent: Instant::now(),
+            decode: self.decode,
+        });
     }
 }
 
@@ -255,17 +276,22 @@ fn pump_frames<P>(ctx: &mut LoopCtx<'_, '_, P>, c: &mut ConnState, token: u64) -
         if len > ctx.config.max_frame_bytes {
             return Err(());
         }
-        if c.read_buf.len() < 4 + len {
+        let end = 4 + len;
+        if c.read_buf.len() < end {
             return Ok(());
         }
-        let payload: Vec<u8> = c.read_buf.drain(..4 + len).skip(4).collect();
         // A frame completed after drain began is answered, not served.
         if ctx.draining {
+            c.read_buf.drain(..end);
             queue_response(c, &draining_response());
             c.close_after_flush = true;
             return Ok(());
         }
-        let request = match Request::decode(&payload) {
+        let t = Instant::now();
+        let decoded = Request::decode(&c.read_buf[4..end]);
+        let decode = t.elapsed();
+        c.read_buf.drain(..end);
+        let request = match decoded {
             Ok(request) => {
                 ctx.shared.metrics.requests.fetch_add(1, Ordering::Relaxed);
                 request
@@ -302,6 +328,7 @@ fn pump_frames<P>(ctx: &mut LoopCtx<'_, '_, P>, c: &mut ConnState, token: u64) -
                     completions: Arc::clone(ctx.completions),
                     token,
                     seq,
+                    decode: matches!(kind, JobKind::Analyze { .. }).then_some(decode),
                 };
                 match submit_job(ctx.shared, kind, reply) {
                     Ok(()) => {
@@ -567,11 +594,28 @@ pub(crate) fn serve<P: Readiness>(
 
             // Deliver worker completions. Taken unconditionally — cheap
             // when empty, and it makes waker ordering moot.
-            for (token, seq, response) in completions.take() {
+            let taken = completions.take();
+            let took = Instant::now();
+            for Completion {
+                token,
+                seq,
+                response,
+                sent,
+                decode,
+            } in taken
+            {
                 match conns.get_mut(&token) {
                     Some(c) if c.pending == Some(seq) => {
                         c.pending = None;
+                        let t = Instant::now();
                         queue_response(c, &response);
+                        if let (Some(decode), Response::Analyze { .. }) = (decode, &response) {
+                            shared.metrics.record_loop_phases(LoopSample {
+                                decode,
+                                complete: took.saturating_duration_since(sent),
+                                encode: t.elapsed(),
+                            });
+                        }
                         if !service_conn(&mut ctx, c, token) {
                             drop_conn(ctx.poller, &mut conns, token);
                         }

@@ -3,7 +3,8 @@
 //!
 //! Counters are lock-free atomics bumped on the hot path; latency
 //! samples go into one log-linear [`Histogram`] per phase, behind one
-//! uncontended mutex taken once per request. [`Metrics::snapshot_json`]
+//! mutex that the worker and then the event loop each take once per
+//! analyze request. [`Metrics::snapshot_json`]
 //! renders the `stats` payload; each phase carries its window's sparse
 //! buckets, so a fleet merges shards exactly by adding counts
 //! ([`PhaseLatency::merge`]).
@@ -188,12 +189,26 @@ impl PhaseLatency {
     }
 }
 
-/// The phases each analyze request records, in [`PhaseSample`] field
-/// order — the order the `latency` stats object lists them.
-pub const PHASES: [&str; 5] = ["queue_wait", "parse", "analyze", "render", "total"];
+/// The phases each analyze request records — the worker's in
+/// [`PhaseSample`] field order, then the event loop's in [`LoopSample`]
+/// field order. This is the order the `latency` stats object lists
+/// them in.
+pub const PHASES: [&str; 8] = [
+    "queue_wait",
+    "parse",
+    "analyze",
+    "render",
+    "total",
+    "decode",
+    "complete",
+    "encode",
+];
 
 /// The position of `total` in [`PHASES`].
 const TOTAL: usize = 4;
+
+/// The position of the first event-loop phase in [`PHASES`].
+const LOOP: usize = 5;
 
 /// One phase's recorder: lifetime aggregates plus two recency epochs.
 #[derive(Debug, Default)]
@@ -226,8 +241,9 @@ impl PhaseRecorder {
     }
 }
 
-/// One analyze request's phase durations, recorded atomically at
-/// completion so a `stats` probe never sees a half-recorded request.
+/// One analyze request's phase durations inside the worker, recorded
+/// atomically when the worker finishes, so a `stats` probe never sees a
+/// half-recorded worker sample.
 #[derive(Debug, Clone, Copy)]
 pub struct PhaseSample {
     /// Time spent queued.
@@ -238,8 +254,23 @@ pub struct PhaseSample {
     pub analyze: Duration,
     /// Time rendering.
     pub render: Duration,
-    /// End-to-end time.
+    /// Time from submission to the worker's reply.
     pub total: Duration,
+}
+
+/// One analyze request's phase durations inside the event loop,
+/// recorded together when its reply is framed. Only replies delivered
+/// in time are recorded, so these counts can trail the worker's by the
+/// late results.
+#[derive(Debug, Clone, Copy)]
+pub struct LoopSample {
+    /// Frame payload to [`crate::proto::Request`].
+    pub decode: Duration,
+    /// The worker's reply to the loop taking it off the completion
+    /// queue.
+    pub complete: Duration,
+    /// [`crate::proto::Response`] to frame bytes in the write buffer.
+    pub encode: Duration,
 }
 
 /// Shared server metrics, zeroed by `default()`. One instance per
@@ -280,17 +311,30 @@ pub struct Metrics {
 }
 
 impl Metrics {
-    /// Records one completed analyze request's phase times.
+    /// Records one completed analyze request's worker phase times.
     pub fn record_phases(&self, sample: PhaseSample) {
-        let durations = [
-            sample.queue_wait,
-            sample.parse,
-            sample.analyze,
-            sample.render,
-            sample.total,
-        ];
+        self.record(
+            0,
+            [
+                sample.queue_wait,
+                sample.parse,
+                sample.analyze,
+                sample.render,
+                sample.total,
+            ],
+        );
+    }
+
+    /// Records one answered analyze request's event-loop phase times.
+    pub fn record_loop_phases(&self, sample: LoopSample) {
+        self.record(LOOP, [sample.decode, sample.complete, sample.encode]);
+    }
+
+    /// Records `durations` into the phases from index `first` on, under
+    /// one lock.
+    fn record<const N: usize>(&self, first: usize, durations: [Duration; N]) {
         let mut phases = self.phases.lock().expect("metrics poisoned");
-        for (phase, duration) in phases.iter_mut().zip(durations) {
+        for (phase, duration) in phases[first..].iter_mut().zip(durations) {
             phase.record(duration);
         }
     }

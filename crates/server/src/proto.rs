@@ -223,24 +223,45 @@ fn encode_files(files: &[AnalyzeFile]) -> Json {
     )
 }
 
-fn decode_files(json: &Json) -> Result<Vec<AnalyzeFile>, ProtoError> {
-    json.get("files")
-        .and_then(Json::as_arr)
+/// Moves the value of `key` out of an object — the entry
+/// [`Json::get`] would find — leaving `null` in its place. Decoders
+/// take strings out of the parsed tree this way instead of copying
+/// them.
+fn take(json: &mut Json, key: &str) -> Option<Json> {
+    match json {
+        Json::Obj(pairs) => pairs
+            .iter_mut()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| std::mem::replace(v, Json::Null)),
+        _ => None,
+    }
+}
+
+/// [`take`] for a string value; `None` when absent or not a string.
+fn take_str(json: &mut Json, key: &str) -> Option<String> {
+    match take(json, key)? {
+        Json::Str(s) => Some(s),
+        _ => None,
+    }
+}
+
+/// [`take`] for an array value; `None` when absent or not an array.
+fn take_arr(json: &mut Json, key: &str) -> Option<Vec<Json>> {
+    match take(json, key)? {
+        Json::Arr(items) => Some(items),
+        _ => None,
+    }
+}
+
+fn decode_files(json: &mut Json) -> Result<Vec<AnalyzeFile>, ProtoError> {
+    take_arr(json, "files")
         .ok_or_else(|| bad("analyze needs a `files` array"))?
-        .iter()
-        .map(|f| {
-            let path = f
-                .get("path")
-                .and_then(Json::as_str)
-                .ok_or_else(|| bad("file entry needs `path`"))?;
-            let source = f
-                .get("source")
-                .and_then(Json::as_str)
-                .ok_or_else(|| bad("file entry needs `source`"))?;
-            Ok(AnalyzeFile {
-                path: path.to_string(),
-                source: source.to_string(),
-            })
+        .into_iter()
+        .map(|mut f| {
+            let path = take_str(&mut f, "path").ok_or_else(|| bad("file entry needs `path`"))?;
+            let source =
+                take_str(&mut f, "source").ok_or_else(|| bad("file entry needs `source`"))?;
+            Ok(AnalyzeFile { path, source })
         })
         .collect()
 }
@@ -369,36 +390,27 @@ impl Request {
     /// Decodes a request frame payload.
     pub fn decode(payload: &[u8]) -> Result<Request, ProtoError> {
         let text = std::str::from_utf8(payload).map_err(|_| bad("frame is not UTF-8"))?;
-        let json = Json::parse(text).map_err(|e| bad(e.to_string()))?;
-        let op = json
-            .get("op")
-            .and_then(Json::as_str)
-            .ok_or_else(|| bad("missing `op`"))?;
-        match op {
+        let mut json = Json::parse(text).map_err(|e| bad(e.to_string()))?;
+        let op = take_str(&mut json, "op").ok_or_else(|| bad("missing `op`"))?;
+        match op.as_str() {
             "ping" => Ok(Request::Ping),
             "stats" => Ok(Request::Stats),
             "shutdown" => Ok(Request::Shutdown),
             "analyze" => Ok(Request::Analyze {
-                files: decode_files(&json)?,
+                files: decode_files(&mut json)?,
                 cache_cap: decode_cache_cap(&json)?,
                 invariants: decode_invariants(&json)?,
             }),
             "preload" => Ok(Request::Preload {
-                dir: json
-                    .get("dir")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| bad("preload needs `dir`"))?
-                    .to_string(),
+                dir: take_str(&mut json, "dir").ok_or_else(|| bad("preload needs `dir`"))?,
             }),
             "gossip" => {
                 let from = match json.get("from") {
                     None | Some(Json::Null) => None,
                     Some(_) => Some(decode_u32(&json, "from")?),
                 };
-                let view = json
-                    .get("view")
-                    .cloned()
-                    .ok_or_else(|| bad("gossip needs a `view` object"))?;
+                let view =
+                    take(&mut json, "view").ok_or_else(|| bad("gossip needs a `view` object"))?;
                 if view.get("members").and_then(Json::as_arr).is_none() {
                     return Err(bad("gossip `view` needs a `members` array"));
                 }
@@ -529,16 +541,14 @@ impl Response {
     /// Decodes a response frame payload.
     pub fn decode(payload: &[u8]) -> Result<Response, ProtoError> {
         let text = std::str::from_utf8(payload).map_err(|_| bad("frame is not UTF-8"))?;
-        let json = Json::parse(text).map_err(|e| bad(e.to_string()))?;
+        let mut json = Json::parse(text).map_err(|e| bad(e.to_string()))?;
         let ok = json
             .get("ok")
             .and_then(Json::as_bool)
             .ok_or_else(|| bad("missing `ok`"))?;
         if !ok {
-            let kind = json
-                .get("error")
-                .and_then(Json::as_str)
-                .ok_or_else(|| bad("failure without `error`"))?;
+            let kind =
+                take_str(&mut json, "error").ok_or_else(|| bad("failure without `error`"))?;
             if kind == "busy" {
                 let retry_after_ms = json
                     .get("retry_after_ms")
@@ -547,55 +557,27 @@ impl Response {
                     .max(0) as u64;
                 return Ok(Response::Busy { retry_after_ms });
             }
-            let message = json
-                .get("message")
-                .and_then(Json::as_str)
-                .unwrap_or("")
-                .to_string();
-            return Ok(Response::Error {
-                kind: kind.to_string(),
-                message,
-            });
+            let message = take_str(&mut json, "message").unwrap_or_default();
+            return Ok(Response::Error { kind, message });
         }
-        let op = json
-            .get("op")
-            .and_then(Json::as_str)
-            .ok_or_else(|| bad("success without `op`"))?;
-        match op {
+        let op = take_str(&mut json, "op").ok_or_else(|| bad("success without `op`"))?;
+        match op.as_str() {
             "pong" => Ok(Response::Pong),
             "shutdown" => Ok(Response::ShutdownAck),
             "stats" => Ok(Response::Stats(
-                json.get("stats").cloned().unwrap_or(Json::Null),
+                take(&mut json, "stats").unwrap_or(Json::Null),
             )),
             "analyze" => {
-                let output = json
-                    .get("output")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| bad("analyze response needs `output`"))?
-                    .to_string();
-                let int = |key: &str| {
-                    json.get(key)
-                        .and_then(Json::as_i64)
-                        .and_then(|n| usize::try_from(n).ok())
-                        .ok_or_else(|| bad(format!("analyze response needs `{key}`")))
-                };
-                let errors = json
-                    .get("errors")
-                    .and_then(Json::as_arr)
-                    .unwrap_or(&[])
-                    .iter()
-                    .map(|e| {
+                let output = take_str(&mut json, "output")
+                    .ok_or_else(|| bad("analyze response needs `output`"))?;
+                let errors = take_arr(&mut json, "errors")
+                    .unwrap_or_default()
+                    .into_iter()
+                    .map(|mut e| {
                         Ok(FileError {
-                            path: e
-                                .get("path")
-                                .and_then(Json::as_str)
-                                .ok_or_else(|| bad("error entry needs `path`"))?
-                                .to_string(),
-                            message: e
-                                .get("message")
-                                .and_then(Json::as_str)
-                                .unwrap_or("")
-                                .to_string(),
+                            path: take_str(&mut e, "path")
+                                .ok_or_else(|| bad("error entry needs `path`"))?,
+                            message: take_str(&mut e, "message").unwrap_or_default(),
                         })
                     })
                     .collect::<Result<Vec<_>, ProtoError>>()?;
@@ -625,6 +607,12 @@ impl Response {
                         Ok(FileBlock { bytes, hashes })
                     })
                     .collect::<Result<Vec<_>, ProtoError>>()?;
+                let int = |key: &str| {
+                    json.get(key)
+                        .and_then(Json::as_i64)
+                        .and_then(|n| usize::try_from(n).ok())
+                        .ok_or_else(|| bad(format!("analyze response needs `{key}`")))
+                };
                 Ok(Response::Analyze {
                     output,
                     functions: int("functions")?,
@@ -642,15 +630,10 @@ impl Response {
                     .ok_or_else(|| bad("preload response needs `loaded`"))?,
             }),
             "gossip" => Ok(Response::Gossip {
-                view: json
-                    .get("view")
-                    .cloned()
-                    .ok_or_else(|| bad("gossip response needs `view`"))?,
+                view: take(&mut json, "view").ok_or_else(|| bad("gossip response needs `view`"))?,
             }),
             "members" => Ok(Response::Members {
-                view: json
-                    .get("view")
-                    .cloned()
+                view: take(&mut json, "view")
                     .ok_or_else(|| bad("members response needs `view`"))?,
             }),
             "replicate" => Ok(Response::ReplicateAck {
@@ -837,6 +820,69 @@ mod tests {
         .is_err());
         assert!(Response::decode(br#"{"ok":true,"op":"members"}"#).is_err());
         assert!(Response::decode(br#"{"ok":true,"op":"replicate"}"#).is_err());
+    }
+
+    /// The exact wire bytes of one analyze exchange. Routers and shards
+    /// of different builds share this wire, so a codec change must not
+    /// move a byte of it.
+    #[test]
+    fn analyze_request_and_reply_bytes_are_pinned() {
+        let path = "dir/a \"q\".biv";
+        let request = Request::Analyze {
+            files: vec![
+                AnalyzeFile {
+                    path: path.into(),
+                    source: "func f(n) {\n\tL1: for i = 1 to n { A[i] = i }\n}\n\
+                             // é ✓ 😀 \\ \u{7f}\u{1}\u{1b}\u{8}\u{c}\r\n"
+                        .into(),
+                },
+                AnalyzeFile {
+                    path: "bad.biv".into(),
+                    source: "}".into(),
+                },
+            ],
+            cache_cap: Some(64),
+            invariants: true,
+        };
+        let wire = concat!(
+            r#"{"op":"analyze","files":[{"path":"dir/a \"q\".biv","#,
+            r#""source":"func f(n) {\n\tL1: for i = 1 to n { A[i] = i }\n}\n// é ✓ 😀 \\ "#,
+            "\u{7f}",
+            r#"\u0001\u001b\b\f\r\n"},{"path":"bad.biv","source":"}"}],"#,
+            r#""cache_cap":64,"invariants":true}"#,
+        );
+        assert_eq!(String::from_utf8(request.encode()).unwrap(), wire);
+        assert_eq!(Request::decode(wire.as_bytes()).unwrap(), request);
+
+        let block = "══ dir/a \"q\".biv ══\nfunc f [ef39c1f3ea939019]\n  \
+                     loop L1: trip count %0\n    %1       => (L1, 1, 1)\n";
+        let reply = Response::Analyze {
+            output: format!("{block}batch: 1 functions, 1 analyzed, 0 cache hits, 0 evictions\n"),
+            functions: 1,
+            analyzed: 1,
+            cached: 0,
+            errors: vec![FileError {
+                path: "bad.biv".into(),
+                message: "bad.biv: parse error: line 1: unexpected `}`".into(),
+            }],
+            files: vec![
+                FileBlock {
+                    bytes: block.len(),
+                    hashes: vec![0xef39_c1f3_ea93_9019],
+                },
+                FileBlock::default(),
+            ],
+        };
+        let wire = concat!(
+            r#"{"ok":true,"op":"analyze","output":"══ dir/a \"q\".biv ══\nfunc f [ef39c1f3ea939019]\n"#,
+            r#"  loop L1: trip count %0\n    %1       => (L1, 1, 1)\n"#,
+            r#"batch: 1 functions, 1 analyzed, 0 cache hits, 0 evictions\n","#,
+            r#""functions":1,"analyzed":1,"cached":0,"#,
+            r#""errors":[{"path":"bad.biv","message":"bad.biv: parse error: line 1: unexpected `}`"}],"#,
+            r#""files":[{"bytes":106,"hashes":["ef39c1f3ea939019"]},{"bytes":0,"hashes":[]}]}"#,
+        );
+        assert_eq!(String::from_utf8(reply.encode()).unwrap(), wire);
+        assert_eq!(Response::decode(wire.as_bytes()).unwrap(), reply);
     }
 
     #[test]

@@ -916,8 +916,14 @@ mod tests {
             .unwrap();
         assert_eq!(hits + misses, submitted, "hits + misses == functions");
         assert_eq!(misses, 1);
-        let total = stats.get("latency").unwrap().get("total").unwrap();
-        assert_eq!(total.get("count").unwrap().as_i64(), Some(2));
+        // Every phase, the event loop's included, saw both analyzes by
+        // the time their replies were read; ping and stats are not
+        // analyze requests.
+        let latency = stats.get("latency").unwrap();
+        for phase in crate::metrics::PHASES {
+            let count = latency.get(phase).unwrap().get("count").unwrap();
+            assert_eq!(count.as_i64(), Some(2), "{phase}");
+        }
 
         assert_eq!(
             client.request(&Request::Shutdown).unwrap(),
